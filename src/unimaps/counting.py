@@ -2,12 +2,24 @@
 
 The number of one-face maps with n edges and genus g is
 
-    catalan(n) * 2^s / 2^(n+1) * sum over partitions of n+1 into
-    s = n+1-2g odd parts of (n+1)! / prod(m_i! * i^m_i)
+    catalan(n) * a(n+1, s) / 4^g,    s = n+1-2g
 
-(Lehman-Walsh form), where the sum counts permutations of n+1 symbols
-whose cycle type is the partition.  Everything here is exact integer or
-rational arithmetic; the only floats are the optional high-precision
+(Chapuy-Feray-Fusy bijection with the Lehman-Walsh count), where
+a(m, j) counts permutations of m symbols with j cycles, all of odd
+length.  Their exponential generating function is
+
+    sum a(m, j) x^m y^j / m! = ((1+x)/(1-x))^(y/2),
+
+and differentiating it in x gives the two-term recurrence
+
+    a(k+1, i) = a(k, i-1) + k(k-1) a(k-1, i),
+
+which odd_cycle_perm_count runs in one iterative pass: O(m*j) big-int
+additions and small multiplications, two rows, no recursion.  The
+partition route (a sum of m! / prod(m_i! * i^m_i) over the partitions
+of m into j odd parts) is kept as the independent reference that the
+tests compare against.  Everything here is exact integer or rational
+arithmetic; the only floats are the optional high-precision
 convolution path of conditioned_sum_pmf.
 """
 
@@ -18,7 +30,6 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -100,29 +111,6 @@ def odd_partitions(total: int, s: int):
         yield OddPartition(parts)
 
 
-@lru_cache(maxsize=None)
-def partition_count(k: int) -> int:
-    """Number of partitions of k, by Euler's pentagonal recurrence."""
-    if k < 0:
-        return 0
-    if k == 0:
-        return 1
-    total = 0
-    j = 1
-    while True:
-        g1 = j * (3 * j - 1) // 2
-        g2 = j * (3 * j + 1) // 2
-        if g1 > k and g2 > k:
-            break
-        sign = 1 if j % 2 == 1 else -1
-        if g1 <= k:
-            total += sign * partition_count(k - g1)
-        if g2 <= k:
-            total += sign * partition_count(k - g2)
-        j += 1
-    return total
-
-
 def perm_count_for_type(partition: OddPartition, m: int) -> int:
     """Number of permutations of m symbols with the given cycle type:
     m! / prod over part sizes i of (m_i! * i^m_i)."""
@@ -136,42 +124,52 @@ def perm_count_for_type(partition: OddPartition, m: int) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
 def odd_cycle_perm_count(m: int, j: int) -> int:
     """Permutations of m symbols with exactly j cycles, all of odd length.
 
-    Recurrence on the cycle containing the first symbol: choosing its
-    k-1 companions and one of (k-1)! cyclic arrangements gives
-
-        a(m, j) = sum over odd k of C(m-1, k-1) (k-1)! a(m-k, j-1).
+    Runs a(k+1, i) = a(k, i-1) + k(k-1) a(k-1, i) up from a(0, 0) = 1.
+    Symbol k+1 is either a fixed point, or sits in a cycle of length at
+    least 3; removing it and its image x leaves an odd cycle, and the
+    pair is put back after any of the other k-1 symbols, for k(k-1)
+    choices.  Row k is held as b -> a(k, k-2b) for b = 0..(m-j)/2, only
+    on the band of b that can still reach the target b = (m-j)/2, so the
+    pass makes O(m*j) big-int additions and small multiplications.
     """
     if m < 0 or j < 0:
         raise ValueError("m and j must be >= 0")
-    if m == 0:
-        return 1 if j == 0 else 0
-    if j == 0:
+    if j > m or (m - j) % 2:
         return 0
-    total = 0
-    for k in range(1, m - j + 2, 2):
-        total += math.comb(m - 1, k - 1) * math.factorial(k - 1) * odd_cycle_perm_count(m - k, j - 1)
-    return total
+    top = (m - j) // 2
+    # rows k-1 and k; entries outside the band are never read again
+    prev, cur = [0] * (top + 1), [1] + [0] * top
+    for k in range(m):
+        c = k * (k - 1)
+        lo = max(1, top - (m - k - 1) // 2)
+        # descending, so prev[b - 1] still holds row k-1
+        for b in range(min(top, (k + 1) // 2), lo - 1, -1):
+            prev[b] = cur[b] + c * prev[b - 1]
+        prev[0] = 1  # a(k+1, k+1): the identity
+        prev, cur = cur, prev
+    return cur[top]
 
 
-def lehman_walsh_count(n: int, g: int, method: str = "auto") -> int:
+def lehman_walsh_count(n: int, g: int, method: str = "dp") -> int:
     """Exact number of one-face maps with n edges and genus g.
 
-    method 'partition' sums perm_count_for_type over odd_partitions,
-    'dp' uses the odd_cycle_perm_count recurrence, and 'auto' picks the
-    partition route when p(g) stays under a million partitions.  Both
-    routes divide catalan(n) * #perms by 4^g, which must be exact.
+    catalan(n) * a(n+1, s) / 4^g with s = n+1-2g, which must divide
+    exactly.  method 'dp' (the default, used for every (n, g)) takes
+    a(n+1, s) from the two-term recurrence of odd_cycle_perm_count:
+    O(n*s) big-int steps and no recursion, so it also serves
+    linear-genus sizes such as (2000, 500).  method 'partition' sums
+    perm_count_for_type over odd_partitions; it shares no code with the
+    recurrence and is the reference the tests compare against, but its
+    cost grows with the number of partitions of g.
     """
     if n < 0 or g < 0:
         raise ValueError("n and g must be >= 0")
     s = n + 1 - 2 * g
     if s <= 0:
         return 0
-    if method == "auto":
-        method = "partition" if partition_count(g) < 10**6 else "dp"
     if method == "partition":
         perms = sum(perm_count_for_type(p, n + 1) for p in odd_partitions(n + 1, s))
     elif method == "dp":

@@ -242,12 +242,11 @@ def _section_tv(counts: Counter, probs: dict, n_samples: int) -> float:
     Outcomes absent from one side count their full mass: theory mass not
     observed and special empirical outcomes both push the distance up.
     """
-    keys = set(counts) | set(probs)
-    total = 0.0
-    for key in keys:
-        total += abs(counts.get(key, 0) / n_samples - probs.get(key, 0.0))
+    # fsum is exactly rounded, so the result does not follow set order
+    total = math.fsum(abs(counts.get(key, 0) / n_samples - probs.get(key, 0.0))
+                      for key in set(counts) | set(probs))
     emp_residual = 1.0 - sum(counts.values()) / n_samples
-    theory_residual = 1.0 - sum(probs.values())
+    theory_residual = 1.0 - math.fsum(probs.values())
     return 0.5 * (total + abs(emp_residual) + abs(theory_residual))
 
 

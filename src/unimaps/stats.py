@@ -6,12 +6,12 @@ or counts; nothing here knows what the outcomes mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Mapping
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "OTHER",
@@ -75,15 +75,16 @@ def tv_distance(p, q) -> float:
     true distance on sub-probability tables.
     """
     p, q = _probs(p), _probs(q)
-    tot = 0.0
+    diffs = []
     for k in set(p) | set(q):
         pv, qv = float(p.get(k, 0)), float(q.get(k, 0))
         if pv < 0 or qv < 0:
             raise ValueError("negative probability")
-        tot += abs(pv - qv)
-    rp = max(0.0, 1.0 - sum(float(v) for v in p.values()))
-    rq = max(0.0, 1.0 - sum(float(v) for v in q.values()))
-    return 0.5 * (tot + rp + rq)
+        diffs.append(abs(pv - qv))
+    # fsum is exactly rounded, so the result does not follow set order
+    rp = max(0.0, 1.0 - math.fsum(float(v) for v in p.values()))
+    rq = max(0.0, 1.0 - math.fsum(float(v) for v in q.values()))
+    return 0.5 * (math.fsum(diffs) + rp + rq)
 
 
 def z_scores(counts: Mapping, probs: Mapping, n_samples: int) -> dict:
@@ -114,6 +115,10 @@ def chi_square_gof(counts: Mapping, probs: Mapping, n_samples: int,
     all theory mass outside the listed outcomes; observed counts follow the
     same pooling, so the statistic is a valid multinomial chi-square.
     """
+    # imported here: scipy.stats takes longer to import than the whole
+    # package and roughly triples its memory, and no CLI path needs it
+    from scipy import stats as sps
+
     probs = _probs(probs)
     kept = {k: float(p) for k, p in probs.items()
             if float(p) * n_samples >= min_expected}

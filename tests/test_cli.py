@@ -46,6 +46,14 @@ def test_count_asymptotic_columns(capsys):
     assert 0.8 < ratio < 1.2
 
 
+def test_count_at_linear_genus_with_asymptotics(capsys):
+    code, out, _ = run(capsys, ["count", "--n", "2000", "--g", "500",
+                                "--asymptotic"])
+    assert code == 0
+    _, row = out.strip().splitlines()
+    assert 0.99 <= float(row.split(",")[4]) <= 1.01
+
+
 def test_beta_columns_and_values(capsys):
     code, out, _ = run(capsys, ["beta", "--theta", "0.25", "0.1"])
     assert code == 0

@@ -14,7 +14,6 @@ from unimaps.counting import (
     lehman_walsh_count,
     odd_cycle_perm_count,
     odd_partitions,
-    partition_count,
     perm_count_for_type,
 )
 from unimaps.distributions import x_beta_pmf
@@ -35,11 +34,11 @@ def test_spot_counts():
 
 
 def test_routes_agree():
-    for n in range(1, 13):
-        for g in range(n // 2 + 1):
-            a = lehman_walsh_count(n, g, method="partition")
-            b = lehman_walsh_count(n, g, method="dp")
-            assert a == b
+    small = [(n, g) for n in range(1, 13) for g in range(n // 2 + 1)]
+    for n, g in small + [(300, 30), (200, 40), (120, 20)]:
+        a = lehman_walsh_count(n, g, method="partition")
+        b = lehman_walsh_count(n, g, method="dp")
+        assert a == b
 
 
 def test_total_over_genus_is_gluing_count():
@@ -55,13 +54,9 @@ def test_odd_partitions_exhaustive():
     assert sum(1 for _ in odd_partitions(9, 3)) == 3
 
 
-def test_partition_count_prefix():
-    assert [partition_count(k) for k in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
-
-
 def test_perm_counts_match_dp():
     # summing the per-type counts over all odd types recovers the recurrence
-    for m in range(1, 9):
+    for m in range(1, 15):
         for j in range(1, m + 1):
             by_type = sum(perm_count_for_type(p, m) for p in odd_partitions(m, j))
             assert by_type == odd_cycle_perm_count(m, j)

@@ -1,9 +1,14 @@
 """Experiment drivers: reports, determinism, and the exact small mode."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import unimaps
 from unimaps.experiments import (
     ComparisonReport,
     ExperimentConfig,
@@ -61,6 +66,24 @@ def test_reports_are_byte_identical():
     b = run_local_limit(cfg, radii=(1,))
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # at these sizes, summing TV terms in set order gave a different last
+    # digit under PYTHONHASHSEED 1 and 2
+    src = str(Path(unimaps.__file__).resolve().parents[1])
+    for argv in (["verify", "local-limit", "--n", "500", "--g", "125", "--r", "1", "2",
+                  "--samples", "60", "--seed", "41", "--workers", "2"],
+                 ["verify", "root-degree", "--n", "200", "--g", "10",
+                  "--samples", "60", "--seed", "41", "--workers", "1"]):
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-m", "unimaps.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode in (0, 1), done.stderr
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
 
 
 def test_worker_split_changes_stream_but_stays_valid():
