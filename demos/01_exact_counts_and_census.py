@@ -8,12 +8,16 @@ and with a cycle-count recurrence, then checks both against
 brute-force polygon gluing.
 """
 
-from unimaps.counting import count_table, double_factorial, lehman_walsh_count
+from unimaps.counting import double_factorial, lehman_walsh_count
 from unimaps.oracle import census
 
 # the closed formula, evaluated in exact integer arithmetic
 print("counts by (n, g):")
-print(count_table(range(1, 8)).to_csv())
+print("n,g,count")
+for n in range(1, 8):
+    for g in range(n // 2 + 1):
+        print(f"{n},{g},{lehman_walsh_count(n, g)}")
+print()
 
 # every way of gluing the 2n sides of a polygon in pairs produces one
 # rooted one-face map, so the counts over all genera must total (2n-1)!!

@@ -14,7 +14,6 @@ from .maps import (
     RotationMap,
     RootedGraph,
     faces_and_genus,
-    ball,
     rotation_ball_code,
     unfolding_ball_code,
 )
@@ -24,14 +23,11 @@ from .counting import (
     perm_count_for_type,
     odd_cycle_perm_count,
     lehman_walsh_count,
-    conditioned_sum_pmf,
-    CountTable,
 )
 from .asymptotics import (
     Regime,
     f_beta,
     solve_beta_theta,
-    solve_beta_n,
     x_moments,
     regime,
     log_asymptotic_count,
@@ -39,7 +35,6 @@ from .asymptotics import (
 )
 from .distributions import (
     XBetaLaw,
-    GWParams,
     x_beta_pmf,
     size_biased_cycle_pmf,
     root_degree_limit_pmf,
@@ -64,7 +59,6 @@ from .oracle import (
     census,
     exact_root_degree_dist,
     exact_ball_dist,
-    ball_of_rotation_map,
     verify_surgery,
 )
 from .stats import DistTable, tv_distance, chi_square_gof

@@ -69,29 +69,6 @@ def solve_beta_theta(theta: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_beta_n(n: int, s: int) -> float:
-    """beta with E[X_beta] = (n+1)/s, the mean pinned at finite size.
-
-    Requires 1 <= s <= n+1 with s == n+1 (mod 2); returns 0.0 in the
-    tree case s == n+1 where the mean constraint degenerates to 1.
-    """
-    if s < 1 or s > n + 1 or (n + 1 - s) % 2 != 0:
-        raise ValueError("need 1 <= s <= n+1 with n+1-s even")
-    if s == n + 1:
-        return 0.0
-    target = (n + 1) / s
-    lo, hi = 1e-12, 1.0 - 1e-12
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if x_moments(mid)[1] < target:  # mean increasing in beta
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16:
-            break
-    return 0.5 * (lo + hi)
-
-
 @dataclass(frozen=True)
 class Regime:
     """Resolved constants of the linear-genus regime at a given theta."""
@@ -122,13 +99,16 @@ def regime(theta: float) -> Regime:
 def log_asymptotic_count(n: int, g: int) -> float:
     """Natural log of the asymptotic count of one-face maps, evaluated
     in log-space with lgamma; beta is pinned at the finite-size mean
-    (n+1)/s while the variance prefactor uses theta = g/n."""
-    if n <= 0 or g <= 0:
-        raise ValueError("need n >= 1 and g >= 1 (the variance term degenerates at g = 0)")
+    (n+1)/s, i.e. at theta = g/(n+1), while the variance prefactor uses
+    theta = g/n.
+
+    Defined for 1 <= g and 2g < n: at g = 0 the variance vanishes, and
+    at 2g = n the prefactor's theta reaches 1/2.
+    """
+    if not (1 <= g and 2 * g < n):
+        raise ValueError(f"asymptotic count needs 1 <= g and 2g < n, got n={n}, g={g}")
     s = n + 1 - 2 * g
-    if s <= 0:
-        raise ValueError("need 2g <= n")
-    beta = solve_beta_n(n, s)
+    beta = solve_beta_theta(g / (n + 1))
     z = math.atanh(beta)
     _, _, var = x_moments(solve_beta_theta(g / n))
     a_const = 2.0 / math.sqrt(2.0 * math.pi * var)

@@ -38,13 +38,27 @@ def _write(args, text: str) -> None:
 
 
 def _rows_out(args, header: list[str], rows: list[list]) -> None:
-    if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        lines = [",".join(header)]
-        lines += [",".join(str(cell) for cell in row) for row in rows]
-        _write(args, "\n".join(lines) + "\n")
+    """Write a table as CSV (None as an empty cell) or as JSON (null)."""
+    # exact counts pass CPython's int-to-str digit limit (4300 digits near
+    # n = 2000, g = 500; interpreters before 3.10.7 have no limit); lift it
+    # while rendering and restore it after, since main() may run inside a
+    # longer-lived interpreter
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            payload = [dict(zip(header, row)) for row in rows]
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        else:
+            lines = [",".join(header)]
+            lines += [",".join("" if cell is None else str(cell) for cell in row)
+                      for row in rows]
+            text = "\n".join(lines) + "\n"
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    _write(args, text)
 
 
 def _cmd_count(args) -> int:
@@ -55,7 +69,10 @@ def _cmd_count(args) -> int:
     rows = []
     for g in genera:
         row: list = [args.n, g, lehman_walsh_count(args.n, g)]
-        if args.asymptotic:
+        if args.asymptotic and args.g is None and not (1 <= g and 2 * g < args.n):
+            # the formula is undefined at this genus; an explicit --g fails
+            row += [None, None]
+        elif args.asymptotic:
             row += [log_asymptotic_count(args.n, g), asymptotic_ratio(args.n, g)]
         rows.append(row)
     _rows_out(args, header, rows)
@@ -169,8 +186,6 @@ def _experiment_config(args, r: int | None = None) -> ExperimentConfig:
         samples=args.samples,
         seed=args.seed,
         workers=args.workers,
-        out=args.out,
-        fmt=args.format,
     )
 
 

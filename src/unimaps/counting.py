@@ -18,26 +18,15 @@ which odd_cycle_perm_count runs in one iterative pass: O(m*j) big-int
 additions and small multiplications, two rows, no recursion.  The
 partition route (a sum of m! / prod(m_i! * i^m_i) over the partitions
 of m into j odd parts) is kept as the independent reference that the
-tests compare against.  Everything here is exact integer or rational
-arithmetic; the only floats are the optional high-precision
-convolution path of conditioned_sum_pmf.
+tests compare against.  Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from .trees import catalan
-
-#: below this target sum the conditioned-sum convolution runs in exact
-#: rational arithmetic; above it, 80-bit-or-better floats
-EXACT_SUM_LIMIT = 200
 
 
 def double_factorial(k: int) -> int:
@@ -179,134 +168,3 @@ def lehman_walsh_count(n: int, g: int, method: str = "dp") -> int:
     q, r = divmod(catalan(n) * perms, 4**g)
     assert r == 0, "count must be an integer"
     return q
-
-
-@dataclass
-class CountTable:
-    """Rows (n, g, count) with CSV export; counts as decimal strings."""
-
-    rows: list[tuple[int, int, int]]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "g", "count"])
-        for n, g, c in self.rows:
-            w.writerow([n, g, str(c)])
-        return buf.getvalue()
-
-
-def count_table(n_range, g_range=None) -> CountTable:
-    rows = []
-    for n in n_range:
-        gs = g_range if g_range is not None else range(n // 2 + 1)
-        for g in gs:
-            if n + 1 - 2 * g > 0:
-                rows.append((n, g, lehman_walsh_count(n, g)))
-    return CountTable(rows)
-
-
-def _odd_weight_poly_exact(beta: Fraction, total: int) -> list[Fraction]:
-    w = [Fraction(0)] * (total + 1)
-    bk = beta
-    b2 = beta * beta
-    for k in range(1, total + 1, 2):
-        w[k] = bk / k
-        bk *= b2
-    return w
-
-
-def _poly_mul_trunc(a, b, cap, zero):
-    out = [zero] * (cap + 1)
-    for i, ai in enumerate(a):
-        if ai == zero:
-            continue
-        top = min(cap - i, len(b) - 1)
-        for j in range(top + 1):
-            if b[j] != zero:
-                out[i + j] = out[i + j] + ai * b[j]
-    return out
-
-
-def conditioned_sum_pmf(beta: float, s: int, total: int):
-    """P(X_1 + ... + X_s = total) for i.i.d. odd-valued X with
-    P(X = k) = beta^k / (Z k), Z = arctanh(beta).
-
-    Zero off the lattice total >= s, total == s (mod 2).  Exact rational
-    convolution up to total <= EXACT_SUM_LIMIT (exact in the binary
-    values of beta and Z); extended-precision float convolution above.
-    """
-    if not (0 < beta < 1):
-        raise ValueError("beta must be in (0, 1)")
-    if s <= 0:
-        raise ValueError("s must be >= 1")
-    if total < s or (total - s) % 2 != 0:
-        return Fraction(0) if total <= EXACT_SUM_LIMIT else 0.0
-    z = math.atanh(beta)
-    if total <= EXACT_SUM_LIMIT:
-        fb = Fraction(beta)
-        w = _odd_weight_poly_exact(fb, total)
-        # w^s truncated at degree `total` by binary powering
-        acc = None
-        base = w
-        e = s
-        zero = Fraction(0)
-        while e:
-            if e & 1:
-                acc = base if acc is None else _poly_mul_trunc(acc, base, total, zero)
-            e >>= 1
-            if e:
-                base = _poly_mul_trunc(base, base, total, zero)
-        return acc[total] / Fraction(z) ** s
-    # float path: numpy convolutions in 80-bit-or-better precision
-    w = np.zeros(total + 1, dtype=np.longdouble)
-    ks = np.arange(1, total + 1, 2)
-    logw = ks * np.longdouble(math.log(beta)) - np.log(ks.astype(np.longdouble))
-    w[ks] = np.exp(logw - np.longdouble(math.log(z)))
-    acc = None
-    base = w
-    e = s
-    while e:
-        if e & 1:
-            acc = base.copy() if acc is None else np.convolve(acc, base)[: total + 1]
-        e >>= 1
-        if e:
-            base = np.convolve(base, base)[: total + 1]
-    return float(acc[total])
-
-
-class ConditionedSumTable:
-    """Renormalized laws of prefix sums S_j = X_1 + ... + X_j given beta.
-
-    Row j holds P(S_j = t) for t = 0..total in extended precision, each
-    row rescaled to sum to one; the ratios drive the sequential
-    conditioned sampler in :mod:`unimaps.sampler`.
-    """
-
-    def __init__(self, beta: float, s: int, total: int):
-        if not (0 < beta < 1):
-            raise ValueError("beta must be in (0, 1)")
-        z = math.atanh(beta)
-        cap = total - s + 1  # largest part usable given s parts summing to total
-        pmf = np.zeros(total + 1, dtype=np.longdouble)
-        ks = np.arange(1, max(cap, 1) + 1, 2)
-        pmf[ks] = np.exp(
-            ks * np.longdouble(math.log(beta))
-            - np.log(ks.astype(np.longdouble))
-            - np.longdouble(math.log(z))
-        )
-        rows = [None] * (s + 1)
-        row = np.zeros(total + 1, dtype=np.longdouble)
-        row[0] = 1.0
-        rows[0] = row
-        for j in range(1, s + 1):
-            row = np.convolve(row, pmf)[: total + 1]
-            t = row.sum()
-            if t > 0:
-                row = row / t
-            rows[j] = row
-        self.beta = beta
-        self.s = s
-        self.total = total
-        self.pmf = pmf
-        self.rows = rows

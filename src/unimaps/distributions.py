@@ -13,7 +13,6 @@ and locked in by tests against the closed-form ball law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +27,12 @@ __all__ = [
     "root_degree_pmf_beta",
     "root_degree_limit_pmf",
     "root_degree_conv_pmf",
-    "GWParams",
     "extinction_prob",
     "gw_ball_sample",
     "gw_inf_ball_sample",
     "ball_probability",
     "ball_probability_kd",
     "gw_ball_probability",
-    "gw_generation_sizes",
     "inf_ball_generation_sizes",
 ]
 
@@ -201,29 +198,6 @@ def _check_xi(xi: float, allow_critical: bool) -> None:
     if not (0.0 < xi and hi_ok):
         top = "1/2 inclusive" if allow_critical else "1/2 exclusive"
         raise ValueError(f"xi must lie in (0, {top}), got {xi}")
-
-
-@dataclass(frozen=True)
-class GWParams:
-    """Parameters of the geometric branching tree T(xi)."""
-
-    xi: float
-
-    def __post_init__(self):
-        _check_xi(self.xi, allow_critical=True)
-
-    def offspring_pmf(self, k: int) -> float:
-        if k < 0:
-            return 0.0
-        return self.xi * (1.0 - self.xi) ** k
-
-    @property
-    def p_die(self) -> float:
-        return self.xi / (1.0 - self.xi)
-
-    @property
-    def mean_offspring(self) -> float:
-        return (1.0 - self.xi) / self.xi
 
 
 def extinction_prob(xi: float) -> float:
@@ -399,24 +373,6 @@ def gw_ball_probability(xi: float, tree: PlaneTree, r: int) -> float:
     d = tree.count_at_height(r)
     k = tree.n_edges
     return (1.0 - xi) ** k * xi ** (k + 1 - d)
-
-
-def gw_generation_sizes(xi: float, r: int, rng: np.random.Generator) -> np.ndarray:
-    """Generation sizes N_0..N_r of the unconditioned tree T(xi), in
-    aggregate: N_{h+1} is negative binomial with N_h successes at rate xi.
-
-    Use this (not gw_ball_sample) to probe deep levels: a surviving
-    supercritical tree has exponentially many vertices per level.
-    """
-    _check_xi(xi, allow_critical=True)
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    n = 1
-    sizes = [1]
-    for _ in range(r):
-        n = int(rng.negative_binomial(n, xi)) if n > 0 else 0
-        sizes.append(n)
-    return np.array(sizes, dtype=np.int64)
 
 
 def inf_ball_generation_sizes(xi: float, r: int, rng: np.random.Generator) -> np.ndarray:

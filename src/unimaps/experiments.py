@@ -35,10 +35,11 @@ from .distributions import (
     inf_ball_generation_sizes,
     root_degree_limit_pmf,
 )
+from .oracle import NON_TREE, exact_ball_dist, exact_root_degree_dist, exact_tree_ball_dist
 from .sampler import ball_as_tree, root_degree, sample_unicellular
+from .stats import tv_distance
 from .trees import parse_plane_code, plane_code, plane_embeddings_count
 
-NON_TREE = "!nontree"
 MERGED = "!merged"
 SHALLOW = "!shallow"
 
@@ -53,8 +54,6 @@ class ExperimentConfig:
     samples: int = 10_000
     seed: int = 0
     workers: int = 1
-    out: str | None = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         if not (0 <= 2 * self.g <= self.n):
@@ -67,8 +66,6 @@ class ExperimentConfig:
             raise ValueError("need at least one worker")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
 
     @property
     def theta(self) -> float:
@@ -236,20 +233,6 @@ def _binomial_row(section: str, outcome: str, count: int, prob: float,
     return ReportRow(section, outcome, freq, prob, se, z)
 
 
-def _section_tv(counts: Counter, probs: dict, n_samples: int) -> float:
-    """TV between the empirical table and the theory table.
-
-    Outcomes absent from one side count their full mass: theory mass not
-    observed and special empirical outcomes both push the distance up.
-    """
-    # fsum is exactly rounded, so the result does not follow set order
-    total = math.fsum(abs(counts.get(key, 0) / n_samples - probs.get(key, 0.0))
-                      for key in set(counts) | set(probs))
-    emp_residual = 1.0 - sum(counts.values()) / n_samples
-    theory_residual = 1.0 - math.fsum(probs.values())
-    return 0.5 * (total + abs(emp_residual) + abs(theory_residual))
-
-
 def _shape_stats(code: str) -> tuple[int, int, int, int]:
     """(k, height, d, embeddings) of an unordered ball code."""
     rep = parse_plane_code(code)
@@ -379,9 +362,9 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...] | None = None,
                     passed = False
             if section_scored:
                 scored.append(section)
-            tv.append((section, _section_tv(
-                Counter({k: v for k, v in counts.items() if not k.startswith("!")}),
-                probs, n_samples)))
+            tv.append((section, tv_distance(
+                {k: v / n_samples for k, v in counts.items() if not k.startswith("!")},
+                probs)))
         masses.append((f"nontree_r{r}", shape_counts[NON_TREE] / n_samples))
         masses.append((f"merged_r{r}", plane_counts[MERGED] / n_samples))
         masses.append((f"shallow_r{r}", shape_counts[SHALLOW] / n_samples))
@@ -400,8 +383,6 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...] | None = None,
 
 def _exact_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...]) -> ComparisonReport:
     """Planar small-n check: enumerated ball law versus truncated trees."""
-    from .oracle import exact_ball_dist, exact_tree_ball_dist
-
     rows: list[ReportRow] = []
     tv: list[tuple[str, float]] = []
     passed = True
@@ -414,9 +395,7 @@ def _exact_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...]) -> Compari
             p_map = float(by_map.probs.get(code, 0))
             p_tree = float(by_tree.probs[code])
             rows.append(ReportRow(f"exact_r{r}", code, p_map, p_tree, 0.0, 0.0))
-        tv.append((f"exact_r{r}", float(sum(
-            abs(by_map.probs.get(c, 0) - by_tree.probs.get(c, 0))
-            for c in set(by_map.probs) | set(by_tree.probs)) / 2)))
+        tv.append((f"exact_r{r}", tv_distance(by_map, by_tree)))
     params = (("n", cfg.n), ("g", cfg.g), ("radii", ",".join(map(str, radii))),
               ("samples", 0), ("seed", cfg.seed), ("workers", cfg.workers))
     # the g=0 limit parameters; the comparison itself is enumeration only
@@ -450,8 +429,6 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
     if reference == "limit":
         probs = {d: root_degree_limit_pmf(cfg.theta, d) for d in range(1, d_max + 1)}
     else:
-        from .oracle import exact_root_degree_dist
-
         exact = exact_root_degree_dist(cfg.n, cfg.g)
         probs = {d: float(p) for d, p in sorted(exact.probs.items())}
     rows = []
@@ -462,8 +439,7 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
         rows.append(row)
         if d <= z_degree_max and probs.get(d, 0.0) > 0 and abs(row.z) > z_max:
             passed = False
-    tv_val = _section_tv(Counter({str(d): c for d, c in degrees.items()}),
-                         {str(d): p for d, p in probs.items()}, cfg.samples)
+    tv_val = tv_distance({d: c / cfg.samples for d, c in degrees.items()}, probs)
     if tv_max is not None and tv_val > tv_max:
         passed = False
     params = (("n", cfg.n), ("g", cfg.g), ("samples", cfg.samples),

@@ -1,7 +1,6 @@
 """Rotation systems, rooted multigraphs, Euler genus, and metric balls.
 
-A map with n edges lives on 2n darts.  Darts 2i and 2i+1 form edge i
-(the canonical numbering used in files); ``alpha`` swaps the two darts
+A map with n edges lives on 2n darts.  ``alpha`` swaps the two darts
 of each edge and ``sigma`` rotates the darts counterclockwise around
 their vertex.  Faces are the cycles of sigma composed after alpha, and
 the Euler relation v - n + f = 2 - 2g gives the genus.
@@ -10,7 +9,7 @@ the Euler relation v - n + f = 2 - 2g gives the genus.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .trees import PlaneTree
@@ -90,10 +89,6 @@ class RotationMap:
     def n_edges(self) -> int:
         return len(self.alpha) // 2
 
-    def face_permutation(self) -> tuple[int, ...]:
-        """d -> sigma(alpha(d)), the next dart along the face of d."""
-        return tuple(self.sigma[a] for a in self.alpha)
-
     def vertex_cycles(self) -> list[tuple[int, ...]]:
         return Permutation(self.sigma).cycles()
 
@@ -132,47 +127,6 @@ class RotationMap:
         if u != root_vertex:
             edges[root_edge] = (v, u)
         return RootedGraph(nv, tuple(edges), root_vertex, root_edge)
-
-    def canonical(self) -> "RotationMap":
-        """Relabel darts along the face contour from the root.
-
-        The first dart of edge e seen by the contour becomes 2e and its
-        partner 2e+1, so equal rooted maps get identical tuples.
-        """
-        phi = self.face_permutation()
-        new = [-1] * len(self.alpha)
-        e = 0
-        d = self.root_dart
-        for _ in range(len(self.alpha)):
-            if new[d] == -1:
-                new[d] = 2 * e
-                new[self.alpha[d]] = 2 * e + 1
-                e += 1
-            d = phi[d]
-        alpha = [0] * len(self.alpha)
-        sigma = [0] * len(self.alpha)
-        for d in range(len(self.alpha)):
-            alpha[new[d]] = new[self.alpha[d]]
-            sigma[new[d]] = new[self.sigma[d]]
-        return RotationMap(tuple(alpha), tuple(sigma), new[self.root_dart])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n_edges,
-                "alpha": list(self.alpha),
-                "sigma": list(self.sigma),
-                "root_dart": self.root_dart,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "RotationMap":
-        obj = json.loads(text)
-        m = RotationMap(tuple(obj["alpha"]), tuple(obj["sigma"]), obj["root_dart"])
-        if m.n_edges != obj["n"]:
-            raise ValueError("edge count does not match dart arrays")
-        return m
 
 
 def faces_and_genus(alpha, sigma) -> tuple[int, int]:
@@ -256,20 +210,6 @@ class RootedGraph:
             return False
         return sum(1 for d in self.distances() if d >= 0) == self.n_vertices
 
-    def ball(self, r: int) -> "RootedGraph":
-        g, _ = ball_with_vertices(self, r)
-        return g
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "v": self.n_vertices,
-                "edges": [list(e) for e in self.edges],
-                "root_vertex": self.root_vertex,
-                "root_edge": self.root_edge,
-            }
-        )
-
     @staticmethod
     def from_json(text: str) -> "RootedGraph":
         obj = json.loads(text)
@@ -309,11 +249,6 @@ def ball_with_vertices(graph: RootedGraph, r: int) -> tuple[RootedGraph, list[in
         RootedGraph(len(keep), tuple(edges), relabel[graph.root_vertex], root_edge),
         keep,
     )
-
-
-def ball(graph: RootedGraph, r: int) -> RootedGraph:
-    """Ball of radius r around the root; see ball_with_vertices."""
-    return graph.ball(r)
 
 
 def graph_tree_unordered_code(graph: RootedGraph) -> str:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .counting import double_factorial
-from .maps import RootedGraph, RotationMap, rotation_ball_code, unfolding_ball_code
+from .maps import RotationMap, rotation_ball_code, unfolding_ball_code
 from .stats import DistTable
 from .trees import PlaneTree, catalan, enumerate_plane_trees, plane_code
 
@@ -33,10 +33,8 @@ __all__ = [
     "exact_root_degree_dist",
     "exact_ball_dist",
     "exact_tree_ball_dist",
-    "ball_of_rotation_map",
     "SurgeryCheck",
     "verify_surgery",
-    "root_ball_degree_profile",
 ]
 
 # (2n-1)!! at n=8 is about 2e6 pairings; beyond that a scan is hopeless
@@ -103,26 +101,20 @@ def enumerate_unicellular(n: int) -> Iterator[RotationMap]:
 class GluingCensus:
     n: int
     counts: dict
-    maps: dict | None = None
 
     @property
     def total(self) -> int:
         return sum(self.counts.values())
 
 
-def census(n: int, keep_maps: bool = False) -> GluingCensus:
+def census(n: int) -> GluingCensus:
     """Per-genus map counts; the total is checked against (2n-1)!!."""
     _check_n(n)
     counts: Counter = Counter()
-    kept: dict | None = {} if keep_maps else None
     for alpha in _pairings(2 * n):
-        sigma = _sigma_of(alpha)
-        g = _genus_of_sigma(sigma, n)
-        counts[g] += 1
-        if kept is not None:
-            kept.setdefault(g, []).append(RotationMap(alpha, sigma, root_dart=0))
+        counts[_genus_of_sigma(_sigma_of(alpha), n)] += 1
     assert sum(counts.values()) == double_factorial(2 * n - 1)
-    return GluingCensus(n, dict(sorted(counts.items())), kept)
+    return GluingCensus(n, dict(sorted(counts.items())))
 
 
 @lru_cache(maxsize=None)
@@ -213,12 +205,6 @@ def exact_tree_ball_dist(n: int, r: int) -> DistTable:
     return DistTable({k: Fraction(v, total) for k, v in counts.items()}, total)
 
 
-def ball_of_rotation_map(m: RotationMap, r: int) -> tuple[bool, Optional[str]]:
-    """(is_tree, plane code): the rotation is known here, so tree balls
-    yield their full plane structure, not just an unordered shape."""
-    return rotation_ball_code(m, r)
-
-
 @dataclass(frozen=True)
 class SurgeryCheck:
     n: int
@@ -263,15 +249,3 @@ def verify_surgery(n: int, g: int, t: PlaneTree) -> SurgeryCheck:
     lhs = sum(1 for gg, code in _unfolding_stats(n, r) if gg == g and code == target)
     rhs = sum(1 for gg, deg in _root_degree_stats(n_rhs) if gg == g and deg == d)
     return SurgeryCheck(n, g, k, d, r, lhs, rhs)
-
-
-def root_ball_degree_profile(graph: RootedGraph) -> tuple[int, tuple[int, ...]]:
-    """(root degree, sorted full degrees of the radius-1 ball vertices).
-
-    A graph-level statistic available both to the exhaustive scan and to
-    the quotient sampler, used to cross-validate them.
-    """
-    root = graph.root_vertex
-    dist = graph.distances(max_r=1)
-    degs = sorted(graph.degree(v) for v, dd in enumerate(dist) if 0 <= dd <= 1)
-    return graph.degree(root), tuple(degs)

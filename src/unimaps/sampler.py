@@ -16,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import solve_beta_theta
-from .counting import ConditionedSumTable
 from .distributions import XBetaLaw
 from .maps import Permutation, RootedGraph, ball_with_vertices, graph_tree_unordered_code
 from .trees import PlaneTree, sample_plane_tree
 
 __all__ = [
-    "DP_SIZE_LIMIT",
     "CDecoratedTree",
     "UnicellularSample",
     "BallShape",
@@ -33,11 +31,6 @@ __all__ = [
     "root_degree",
     "ball_as_tree",
 ]
-
-# above this many elements the sequential table sampler would need too much
-# memory; the rejection path has no such ceiling
-DP_SIZE_LIMIT = 2000
-
 
 @dataclass(frozen=True)
 class CDecoratedTree:
@@ -117,11 +110,10 @@ class OddCyclePermutationSampler:
     """Uniform permutations of {0..m-1} with exactly s cycles, all odd.
 
     Cycle sizes are the hard part: they must be distributed like s i.i.d.
-    copies of the odd-length law conditioned on summing to m.  The default
-    draws the sizes by rejection (support capped at m-s+1, which changes
-    nothing conditionally), with beta tuned so the unconditioned mean is
-    m/s; the local CLT puts the acceptance rate near sqrt(2/(pi*s*var)).
-    A sequential table method is available for m <= DP_SIZE_LIMIT.
+    copies of the odd-length law conditioned on summing to m.  They are
+    drawn by rejection (support capped at m-s+1, which changes nothing
+    conditionally), with beta tuned so the unconditioned mean is m/s; the
+    local CLT puts the acceptance rate near sqrt(2/(pi*s*var)).
 
     Given sizes, a uniform label sequence is cut into blocks and each block
     is read as a cycle.  A cycle of length k arises from exactly k of the
@@ -132,34 +124,19 @@ class OddCyclePermutationSampler:
     exhaustive small-case frequency tests.
     """
 
-    def __init__(self, m: int, s: int, beta_hint: float | None = None,
-                 method: str = "auto"):
+    def __init__(self, m: int, s: int):
         if s < 1 or s > m:
             raise ValueError(f"need 1 <= s <= m, got m={m}, s={s}")
         if (m - s) % 2 != 0:
             raise ValueError(f"m - s must be even (odd cycles), got m={m}, s={s}")
-        if method not in ("auto", "rejection", "dp"):
-            raise ValueError(f"unknown method {method!r}")
         self.m = m
         self.s = s
-        self._trivial = s == m or s == 1
-        if method == "auto":
-            method = "rejection"
-        if method == "dp" and m > DP_SIZE_LIMIT:
-            raise ValueError(f"dp method capped at m={DP_SIZE_LIMIT}")
-        self.method = method
         self._law = None
-        self._table = None
-        if not self._trivial:
-            beta = beta_hint if beta_hint is not None else solve_beta_theta(
-                (m - s) / (2.0 * m))
-            self.beta = beta
-            if method == "dp":
-                self._table = ConditionedSumTable(beta, s, m)
-            else:
-                self._law = XBetaLaw(beta)
-        else:
+        if s == m or s == 1:
             self.beta = 0.0 if s == m else 1.0
+        else:
+            self.beta = solve_beta_theta((m - s) / (2.0 * m))
+            self._law = XBetaLaw(self.beta)
 
     def sample_sizes(self, rng: np.random.Generator) -> np.ndarray:
         m, s = self.m, self.s
@@ -167,29 +144,12 @@ class OddCyclePermutationSampler:
             return np.ones(m, dtype=np.int64)
         if s == 1:
             return np.array([m], dtype=np.int64)
-        if self.method == "dp":
-            return self._sizes_dp(rng)
         cap = m - s + 1
         while True:
             block = self._law.sample(rng, size=(64, s), max_value=cap)
             hits = np.flatnonzero(block.sum(axis=1) == m)
             if hits.size:
                 return block[hits[0]]
-
-    def _sizes_dp(self, rng: np.random.Generator) -> np.ndarray:
-        table = self._table
-        out = np.empty(self.s, dtype=np.int64)
-        t = self.m
-        for j in range(self.s, 0, -1):
-            w = table.pmf[: t + 1].copy()
-            w *= table.rows[j - 1][t::-1]
-            w = w.astype(np.float64)
-            w /= w.sum()
-            k = int(rng.choice(t + 1, p=w))
-            out[self.s - j] = k
-            t -= k
-        assert t == 0
-        return out
 
     def sample(self, rng: np.random.Generator) -> Permutation:
         m = self.m
@@ -206,9 +166,8 @@ class OddCyclePermutationSampler:
         return Permutation(tuple(int(x) for x in image))
 
 
-def sample_odd_cycle_permutation(m: int, s: int, rng: np.random.Generator,
-                                 beta_hint: float | None = None) -> Permutation:
-    return OddCyclePermutationSampler(m, s, beta_hint=beta_hint).sample(rng)
+def sample_odd_cycle_permutation(m: int, s: int, rng: np.random.Generator) -> Permutation:
+    return OddCyclePermutationSampler(m, s).sample(rng)
 
 
 def sample_c_decorated_tree(n: int, g: int, rng: np.random.Generator) -> CDecoratedTree:

@@ -11,13 +11,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Mapping
 
-import numpy as np
-
 __all__ = [
     "OTHER",
     "DistTable",
     "tv_distance",
-    "z_scores",
     "ChiSquareResult",
     "chi_square_gof",
 ]
@@ -72,7 +69,9 @@ def tv_distance(p, q) -> float:
 
     Tables need not sum to one: leftover mass on either side counts as its
     own outcome, disjoint from the other side's, which keeps the result a
-    true distance on sub-probability tables.
+    true distance on sub-probability tables.  A table whose floats sum
+    past one (rounding, or overlapping masses) has no leftover, so
+    d(p, p) == 0 for every table.
     """
     p, q = _probs(p), _probs(q)
     diffs = []
@@ -85,18 +84,6 @@ def tv_distance(p, q) -> float:
     rp = max(0.0, 1.0 - math.fsum(float(v) for v in p.values()))
     rq = max(0.0, 1.0 - math.fsum(float(v) for v in q.values()))
     return 0.5 * (math.fsum(diffs) + rp + rq)
-
-
-def z_scores(counts: Mapping, probs: Mapping, n_samples: int) -> dict:
-    """Per-outcome binomial z-score of observed count against theory."""
-    out = {}
-    for k, p in _probs(probs).items():
-        p = float(p)
-        if not 0.0 < p < 1.0:
-            continue
-        se = np.sqrt(p * (1.0 - p) / n_samples)
-        out[k] = (counts.get(k, 0) / n_samples - p) / se
-    return out
 
 
 @dataclass(frozen=True)

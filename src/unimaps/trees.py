@@ -88,9 +88,6 @@ class PlaneTree:
         )
         return PlaneTree(new_children)
 
-    def code(self) -> str:
-        return plane_code(self)
-
     def degrees(self) -> list[int]:
         """Graph degree of each vertex: children plus one for the parent edge."""
         return [len(cs) + (1 if v > 0 else 0) for v, cs in enumerate(self.children)]

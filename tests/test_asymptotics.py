@@ -11,7 +11,6 @@ from unimaps.asymptotics import (
     f_beta,
     log_asymptotic_count,
     regime,
-    solve_beta_n,
     solve_beta_theta,
     x_moments,
 )
@@ -59,14 +58,12 @@ def test_regime_frozen_quarter():
     assert reg.a_const == pytest.approx(0.359131900744396, rel=1e-6)
 
 
-def test_solve_beta_n_tracks_theta():
-    # the finite-n calibration approaches the theta form as n grows
-    t = 0.2
-    for n in (50, 500):
-        g = round(t * n)
-        got = solve_beta_n(n, n + 1 - 2 * g)
-        want = solve_beta_theta(g / n)
-        assert got == pytest.approx(want, rel=5e-2)
+def test_solver_pins_finite_size_mean():
+    # theta = g/(n+1) is the finite-size mean constraint E[X] = (n+1)/s
+    for n, g in ((50, 10), (500, 100), (400, 199), (10, 1)):
+        s = n + 1 - 2 * g
+        _, mean, _ = x_moments(solve_beta_theta(g / (n + 1)))
+        assert mean == pytest.approx((n + 1) / s, rel=1e-12)
 
 
 def test_asymptotic_against_exact_counts():

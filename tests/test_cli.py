@@ -1,6 +1,7 @@
 """End-to-end checks of the command line driver through main()."""
 
 import json
+import sys
 
 import pytest
 
@@ -52,6 +53,42 @@ def test_count_at_linear_genus_with_asymptotics(capsys):
     assert code == 0
     _, row = out.strip().splitlines()
     assert 0.99 <= float(row.split(",")[4]) <= 1.01
+
+
+def test_count_past_the_int_string_limit(capsys):
+    # about 5360 digits, past CPython's default limit of 4300
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, ["count", "--n", "2500", "--g", "600"])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    _, row = out.strip().splitlines()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(row.split(",")[2]) == lehman_walsh_count(2500, 600)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_count_asymptotic_over_all_genera(capsys):
+    code, out, _ = run(capsys, ["count", "--n", "10", "--asymptotic"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(row[1]) for row in rows] == list(range(6))
+    # undefined at g = 0 and at 2g = n: empty cells, counts still there
+    for row in (rows[0], rows[5]):
+        assert row[3:] == ["", ""]
+        assert int(row[2]) == lehman_walsh_count(10, int(row[1]))
+    assert all(float(row[4]) > 0 for row in rows[1:5])
+    code, out, _ = run(capsys, ["count", "--n", "10", "--asymptotic",
+                                "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload[0]["ratio"] is None and payload[5]["log_asymptotic"] is None
+    for g in (0, 5):
+        code, _, err = run(capsys, ["count", "--n", "10", "--g", str(g),
+                                    "--asymptotic"])
+        assert code == 2
+        assert "1 <= g" in err and "2g < n" in err
 
 
 def test_beta_columns_and_values(capsys):

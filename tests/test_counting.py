@@ -1,22 +1,14 @@
 """Exact counting formulas and their internal cross-checks."""
 
-import math
-from fractions import Fraction
-
 import pytest
 
-from unimaps.asymptotics import solve_beta_theta
 from unimaps.counting import (
-    CountTable,
-    conditioned_sum_pmf,
-    count_table,
     double_factorial,
     lehman_walsh_count,
     odd_cycle_perm_count,
     odd_partitions,
     perm_count_for_type,
 )
-from unimaps.distributions import x_beta_pmf
 
 
 def test_double_factorial():
@@ -60,22 +52,3 @@ def test_perm_counts_match_dp():
         for j in range(1, m + 1):
             by_type = sum(perm_count_for_type(p, m) for p in odd_partitions(m, j))
             assert by_type == odd_cycle_perm_count(m, j)
-
-
-def test_conditioned_sum_values():
-    beta = 0.5
-    z = math.atanh(beta)
-    # brute force over odd triples summing to 5: permutations of (1,1,3)
-    want = 3 * (beta / z) ** 2 * (beta**3 / (3 * z))
-    got = conditioned_sum_pmf(beta, 3, 5)
-    assert math.isclose(float(got), want, rel_tol=1e-4)
-    assert conditioned_sum_pmf(beta, 3, 6) == 0
-    assert conditioned_sum_pmf(beta, 1, 3) == pytest.approx(x_beta_pmf(beta, 3), rel=1e-4)
-
-
-def test_count_table_csv():
-    table = count_table(range(1, 4))
-    text = table.to_csv()
-    assert text.splitlines()[0] == "n,g,count"
-    assert "3,1,10" in text.splitlines()
-    assert isinstance(table, CountTable)

@@ -1,6 +1,7 @@
 """Experiment drivers: reports, determinism, and the exact small mode."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import unimaps
 from unimaps.experiments import (
     ComparisonReport,
     ExperimentConfig,
+    _binomial_row,
     build_id,
     degree_profile,
     run_local_limit,
@@ -28,9 +30,17 @@ def test_config_validation():
         ExperimentConfig(n=4, g=1, seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(n=4, g=1, workers=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(n=4, g=1, fmt="yaml")
     assert ExperimentConfig(n=4, g=1).theta == 0.25
+
+
+def test_binomial_row_z_scores():
+    above = _binomial_row("s", "a", 60, 0.5, 100)
+    below = _binomial_row("s", "b", 40, 0.5, 100)
+    assert above.z == pytest.approx(2.0, abs=1e-9)
+    assert above.z > 0 > below.z
+    # a zero standard error still reports an observed deviation
+    assert _binomial_row("s", "c", 3, 0.0, 100).z == math.inf
+    assert _binomial_row("s", "c", 0, 0.0, 100).z == 0.0
 
 
 def test_exact_small_mode():

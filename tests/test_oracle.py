@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from unimaps.oracle import (
+    NON_TREE,
     census,
     exact_ball_dist,
     exact_root_degree_dist,
@@ -12,8 +13,6 @@ from unimaps.oracle import (
     verify_surgery,
 )
 from unimaps.trees import parse_plane_code
-
-NON_TREE = "!nontree"
 
 
 def test_census_frozen_tables():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from unimaps.stats import DistTable, chi_square_gof, tv_distance, z_scores
+from unimaps.stats import DistTable, chi_square_gof, tv_distance
 
 
 def test_tv_trivial_cases():
@@ -14,6 +14,8 @@ def test_tv_trivial_cases():
 def test_tv_residual_mass():
     # a table covering only part of its mass contributes the leftover
     assert tv_distance({"a": 0.6}, {"a": 0.6, "b": 0.4}) == pytest.approx(0.4)
+    # mass past one is no leftover: d(p, p) == 0 for every table
+    assert tv_distance({"a": 0.6, "b": 0.6}, {"a": 0.6, "b": 0.6}) == 0.0
 
 
 def test_tv_rejects_negative():
@@ -27,12 +29,6 @@ def test_dist_table_from_counts():
     assert table.n_samples == 4
     with pytest.raises(ValueError):
         DistTable({"x": -0.5})
-
-
-def test_z_scores_signs():
-    z = z_scores({"a": 60, "b": 40}, {"a": 0.5, "b": 0.5}, 100)
-    assert z["a"] > 0 > z["b"]
-    assert z["a"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_chi_square_identity_fit():
