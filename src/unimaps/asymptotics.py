@@ -126,10 +126,14 @@ def log_asymptotic_count(n: int, g: int) -> float:
 
 def asymptotic_ratio(n: int, g: int) -> float:
     """exp(log_asymptotic_count - log exact count); -> 1 as n grows."""
-    exact = lehman_walsh_count(n, g)
+    return ratio_to_exact(log_asymptotic_count(n, g), lehman_walsh_count(n, g))
+
+
+def ratio_to_exact(log_asymptotic: float, exact: int) -> float:
+    """exp(log_asymptotic - log exact), for callers that hold both."""
     if exact == 0:
         raise ValueError("no maps at this (n, g)")
-    return math.exp(log_asymptotic_count(n, g) - math.log(exact))
+    return math.exp(log_asymptotic - math.log(exact))
 
 
 def count_ratio_limit(theta: float, k: int, d: int) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import asymptotic_ratio, log_asymptotic_count, regime
+from .asymptotics import log_asymptotic_count, ratio_to_exact, regime
 from .counting import lehman_walsh_count
 from .distributions import gw_inf_ball_sample, root_degree_limit_pmf
 from .experiments import (
@@ -68,12 +68,14 @@ def _cmd_count(args) -> int:
         header += ["log_asymptotic", "ratio"]
     rows = []
     for g in genera:
-        row: list = [args.n, g, lehman_walsh_count(args.n, g)]
+        count = lehman_walsh_count(args.n, g)
+        row: list = [args.n, g, count]
         if args.asymptotic and args.g is None and not (1 <= g and 2 * g < args.n):
             # the formula is undefined at this genus; an explicit --g fails
             row += [None, None]
         elif args.asymptotic:
-            row += [log_asymptotic_count(args.n, g), asymptotic_ratio(args.n, g)]
+            log_asymptotic = log_asymptotic_count(args.n, g)
+            row += [log_asymptotic, ratio_to_exact(log_asymptotic, count)]
         rows.append(row)
     _rows_out(args, header, rows)
     return 0

@@ -46,20 +46,14 @@ class XBetaLaw:
     """Odd-supported law P(X = 2k+1) = beta^(2k+1) / (Z * (2k+1)).
 
     Z = atanh(beta) normalizes the series.  beta = 0 degenerates to a point
-    mass at 1.  Sampling is inverse-CDF over a cumulative table that is
-    extended on demand; the table is tiny because the tail decays like
-    beta^v.
+    mass at 1.  Sampling is inverse-CDF over the cumulative table of
+    `cumulative`, which is short because the tail decays like beta^v.
     """
 
     def __init__(self, beta: float):
         _check_beta(beta)
         self.beta = float(beta)
         self.z_beta = math.atanh(self.beta) if self.beta > 0 else 0.0
-        # cumulative probabilities over odd values 1, 3, 5, ...
-        if self.beta > 0:
-            self._cum = np.array([self.beta / self.z_beta])
-        else:
-            self._cum = np.array([1.0])
 
     def pmf(self, value: int) -> float:
         if value < 1 or value % 2 == 0:
@@ -68,28 +62,23 @@ class XBetaLaw:
             return 1.0 if value == 1 else 0.0
         return self.beta ** value / (self.z_beta * value)
 
-    @property
-    def mean(self) -> float:
-        if self.beta == 0.0:
-            return 1.0
-        return self.beta / (self.z_beta * (1.0 - self.beta ** 2))
+    def cumulative(self, max_value=None) -> np.ndarray:
+        """Cumulative masses of the odd values 1, 3, 5, ... in one
+        vectorised step: entry k is P(X <= 2k+1).
 
-    @property
-    def var(self) -> float:
+        The table stops at max_value, or earlier where the mass left
+        beyond it, at most beta^(v+2) / (Z (1 - beta^2)) past value v,
+        is below double precision, so every value it drops has
+        probability under 2^-53.
+        """
         if self.beta == 0.0:
-            return 0.0
+            return np.ones(1)
         b, z = self.beta, self.z_beta
-        return b * (1.0 + b ** 2) / (z * (1.0 - b ** 2) ** 2) - self.mean ** 2
-
-    def _extend(self, upto_index: int) -> None:
-        # index k holds the cumulative mass of values 1, 3, ..., 2k+1
-        while len(self._cum) <= upto_index:
-            k = len(self._cum)
-            v = 2 * k + 1
-            term = self.beta ** v / (self.z_beta * v)
-            self._cum = np.append(self._cum, self._cum[-1] + term)
-            if term == 0.0:
-                break
+        top = math.ceil(math.log(2.0 ** -53 * z * (1.0 - b * b)) / math.log(b))
+        if max_value is not None:
+            top = min(top, int(max_value))
+        values = np.arange(1, max(top, 1) + 1, 2, dtype=np.float64)
+        return np.cumsum(b ** values / (z * values))
 
     def sample(self, rng: np.random.Generator, size=None, max_value=None):
         """Draw odd values; `max_value` truncates the law (renormalized).
@@ -101,27 +90,10 @@ class XBetaLaw:
             if size is None:
                 return 1
             return np.ones(size, dtype=np.int64)
-        if max_value is not None:
-            top_idx = max(0, (int(max_value) - 1) // 2)
-            self._extend(top_idx)
-            top_idx = min(top_idx, len(self._cum) - 1)
-            total = self._cum[top_idx]
-        else:
-            top_idx = None
-            total = 1.0
+        table = self.cumulative(max_value)
         scalar = size is None
-        u = rng.random(1 if scalar else size) * total
-        if top_idx is None:
-            # grow the table until it covers the largest uniform drawn
-            hi = float(np.max(u))
-            while self._cum[-1] < hi:
-                before = len(self._cum)
-                self._extend(len(self._cum) + 64)
-                if len(self._cum) == before:
-                    break
-        table = self._cum if top_idx is None else self._cum[: top_idx + 1]
-        idx = np.searchsorted(table, u, side="left")
-        idx = np.minimum(idx, len(table) - 1)
+        u = rng.random(1 if scalar else size) * table[-1]
+        idx = np.minimum(np.searchsorted(table, u, side="left"), len(table) - 1)
         values = 2 * idx + 1
         if scalar:
             return int(values[0])

@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-import subprocess
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,7 +37,7 @@ from .distributions import (
 from .oracle import NON_TREE, exact_ball_dist, exact_root_degree_dist, exact_tree_ball_dist
 from .sampler import ball_as_tree, root_degree, sample_unicellular
 from .stats import tv_distance
-from .trees import parse_plane_code, plane_code, plane_embeddings_count
+from .trees import parse_plane_code, plane_embeddings_count
 
 MERGED = "!merged"
 SHALLOW = "!shallow"
@@ -164,13 +163,14 @@ class ComparisonReport:
             return self.to_csv()
         raise ValueError("format must be csv or json")
 
-    def write(self, path: str | Path, fmt: str = "csv") -> None:
-        Path(path).write_text(self.render(fmt))
-
 
 @lru_cache(maxsize=1)
 def build_id() -> str:
     """Source identifier embedded in every report."""
+    # imported here: only reports need it, and it is a noticeable share of
+    # the package's import time
+    import subprocess
+
     root = Path(__file__).resolve().parent.parent.parent
     try:
         out = subprocess.run(
@@ -303,16 +303,15 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...] | None = None,
                     out[("plane", r)][NON_TREE] += 1
                     out[("shape", r)][NON_TREE] += 1
                     continue
+                full = shape.height == r
                 code = shape.unordered_code
-                height = parse_plane_code(code).height()
-                out[("shape", r)][code if height == r else SHALLOW] += 1
+                out[("shape", r)][code if full else SHALLOW] += 1
                 if not shape.merged:
-                    out[("plane", r)][plane_code(shape.plane)
-                                      if shape.plane.height() == r else SHALLOW] += 1
+                    out[("plane", r)][shape.plane_code if full else SHALLOW] += 1
                 elif r == 1:
                     # a height-1 tree ball is a star, one plane order only,
                     # so merged vertices cost nothing at this radius
-                    out[("plane", r)][code if height == 1 else SHALLOW] += 1
+                    out[("plane", r)][code if full else SHALLOW] += 1
                 else:
                     out[("plane", r)][MERGED] += 1
         return out

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .trees import PlaneTree
+import numpy as np
+
+from .trees import PlaneTree, parent_unordered_code
 
 
 @dataclass(frozen=True)
@@ -175,40 +178,27 @@ class RootedGraph:
         elif self.edges:
             raise ValueError("root_edge required when edges exist")
 
-    def degree(self, v: int) -> int:
-        """Edge endpoints at v; a loop contributes 2."""
-        return sum((u == v) + (w == v) for u, w in self.edges)
+    @cached_property
+    def adjacency(self) -> "Adjacency":
+        return Adjacency.build(self.n_vertices, [u for u, _ in self.edges],
+                               [v for _, v in self.edges])
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """adj[v] = list of (neighbor, edge index); loops appear twice."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-        for i, (u, v) in enumerate(self.edges):
-            adj[u].append((v, i))
-            adj[v].append((u, i))
-        return adj
+    def _component(self) -> "Ball":
+        return self.adjacency.ball(self.root_vertex, self.n_vertices)
 
     def distances(self, max_r: Optional[int] = None) -> list[int]:
         """BFS distance from the root vertex; -1 beyond max_r or unreachable."""
+        r = self.n_vertices if max_r is None else max_r  # no distance reaches n_vertices
+        ball = self.adjacency.ball(self.root_vertex, r)
         dist = [-1] * self.n_vertices
-        dist[self.root_vertex] = 0
-        frontier = [self.root_vertex]
-        adj = self.adjacency()
-        r = 0
-        while frontier and (max_r is None or r < max_r):
-            r += 1
-            nxt = []
-            for u in frontier:
-                for w, _ in adj[u]:
-                    if dist[w] == -1:
-                        dist[w] = r
-                        nxt.append(w)
-            frontier = nxt
+        for v, d in zip(ball.vertices, ball.dist):
+            dist[v] = d
         return dist
 
     def is_tree(self) -> bool:
         if len(self.edges) != self.n_vertices - 1:
             return False
-        return sum(1 for d in self.distances() if d >= 0) == self.n_vertices
+        return len(self._component().vertices) == self.n_vertices
 
     @staticmethod
     def from_json(text: str) -> "RootedGraph":
@@ -221,27 +211,102 @@ class RootedGraph:
         )
 
 
+class Ball:
+    """The vertices within distance r of a root, as a bounded BFS finds them.
+
+    vertices is in BFS order, root first, so distances never decrease
+    along it; dist and parent are aligned with it, parent holding the
+    position in vertices of the vertex that discovered each one (-1 at the
+    root).  edges holds the sorted ids of the edges with an endpoint at
+    distance <= r-1, which are the ball's edges: an edge joining two
+    vertices at distance exactly r is not, nor is a loop on the boundary.
+    The ball is connected, so it is a tree iff it has one edge fewer than
+    vertices, and then parent is that tree.
+    """
+
+    __slots__ = ("vertices", "dist", "parent", "edges")
+
+    def __init__(self, vertices: list[int], dist: list[int], parent: list[int],
+                 edges: list[int]):
+        self.vertices, self.dist, self.parent, self.edges = vertices, dist, parent, edges
+
+    @property
+    def is_tree(self) -> bool:
+        return len(self.edges) == len(self.vertices) - 1
+
+    @property
+    def height(self) -> int:
+        return self.dist[-1]
+
+
+class Adjacency:
+    """Compressed adjacency of a multigraph on vertices 0..n-1.
+
+    The edge ends at v are the entries start[v]:start[v+1] of nbr (the
+    other endpoint) and eid (the edge index); a loop sits at its vertex
+    twice.  This is the one ball implementation: RootedGraph distances,
+    trees and balls and the sampler's balls all run ball().
+    """
+
+    __slots__ = ("start", "nbr", "eid")
+
+    def __init__(self, start: np.ndarray, nbr: np.ndarray, eid: np.ndarray):
+        self.start, self.nbr, self.eid = start, nbr, eid
+
+    @classmethod
+    def build(cls, n_vertices: int, src, dst) -> "Adjacency":
+        """Adjacency of the edges (src[i], dst[i]), i = 0, 1, ..."""
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        ends = np.concatenate((src, dst))
+        # the narrow dtype lets numpy use a radix sort
+        order = np.argsort(ends.astype(np.min_scalar_type(n_vertices)), kind="stable")
+        start = np.zeros(n_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n_vertices), out=start[1:])
+        nbr = np.concatenate((dst, src))[order]
+        eid = np.tile(np.arange(len(src), dtype=np.int64), 2)[order]
+        return cls(start, nbr, eid)
+
+    def ball(self, root: int, r: int) -> Ball:
+        """Bounded BFS from root that visits only the ball of radius r."""
+        if r < 0:
+            raise ValueError("radius must be >= 0")
+        start, nbr, eid = self.start, self.nbr, self.eid
+        vertices, dist, parent = [int(root)], [0], [-1]
+        seen = {vertices[0]}
+        edges: set[int] = set()
+        i = 0
+        while i < len(vertices) and dist[i] < r:
+            u, du = vertices[i], dist[i] + 1
+            lo, hi = start[u], start[u + 1]
+            edges.update(eid[lo:hi].tolist())
+            for w in nbr[lo:hi].tolist():
+                if w not in seen:
+                    seen.add(w)
+                    vertices.append(w)
+                    dist.append(du)
+                    parent.append(i)
+            i += 1
+        return Ball(vertices, dist, parent, sorted(edges))
+
+
 def ball_with_vertices(graph: RootedGraph, r: int) -> tuple[RootedGraph, list[int]]:
     """Ball of radius r plus the list of original vertex ids retained.
 
     Keeps vertices at distance <= r and edges with at least one endpoint
     at distance <= r-1, so edges joining two vertices both at distance
     exactly r are dropped (as are loops on the boundary).  Retained
-    vertices are renumbered in increasing original order, which makes
-    ball(ball(G, r'), r) == ball(G, r) for r <= r'.
+    vertices are renumbered in increasing original order and edges keep
+    their original order, which makes ball(ball(G, r'), r) == ball(G, r)
+    for r <= r'.
     """
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    dist = graph.distances(max_r=r)
-    keep = [v for v in range(graph.n_vertices) if dist[v] >= 0]
+    ball = graph.adjacency.ball(graph.root_vertex, r)
+    keep = sorted(ball.vertices)
     relabel = {v: i for i, v in enumerate(keep)}
     edges = []
     root_edge = None
-    for i, (u, v) in enumerate(graph.edges):
-        if dist[u] == -1 or dist[v] == -1:
-            continue
-        if min(dist[u], dist[v]) > r - 1:
-            continue
+    for i in ball.edges:
+        u, v = graph.edges[i]
         if i == graph.root_edge:
             root_edge = len(edges)
         edges.append((relabel[u], relabel[v]))
@@ -256,23 +321,10 @@ def graph_tree_unordered_code(graph: RootedGraph) -> str:
 
     Raises ValueError when the graph is not a tree.
     """
-    if not graph.is_tree():
+    ball = graph._component()
+    if len(ball.vertices) != graph.n_vertices or not ball.is_tree:
         raise ValueError("graph is not a tree")
-    adj = graph.adjacency()
-    n = graph.n_vertices
-    parent = [-2] * n
-    parent[graph.root_vertex] = -1
-    order = [graph.root_vertex]
-    for u in order:
-        for w, _ in adj[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                order.append(w)
-    codes = [""] * n
-    for u in reversed(order):
-        parts = sorted("(" + codes[w] + ")" for w, _ in adj[u] if parent[w] == u)
-        codes[u] = "".join(parts)
-    return codes[graph.root_vertex]
+    return parent_unordered_code(ball.parent)
 
 
 def plane_tree_to_map(tree: PlaneTree) -> RotationMap:

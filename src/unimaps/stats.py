@@ -49,15 +49,6 @@ class DistTable:
     def __getitem__(self, key) -> float:
         return self.probs.get(key, 0)
 
-    def total(self) -> float:
-        return sum(self.probs.values())
-
-    def as_float(self) -> dict:
-        return {k: float(v) for k, v in self.probs.items()}
-
-    def top(self, k: int) -> list:
-        return sorted(self.probs, key=lambda o: (-self.probs[o], repr(o)))[:k]
-
 
 def _probs(table) -> Mapping:
     return table.probs if isinstance(table, DistTable) else table

@@ -6,6 +6,10 @@ vertices numbered 0..n in depth-first (preorder) order so that vertex 0
 is the root and every child has a larger id than its parent.  The
 balanced-parenthesis code walks the contour: "(" the first time an edge
 is traversed, ")" the second time.  A single vertex has the empty code.
+
+The sampler keeps that code as a Dyck word, an int8 array of +1 and -1
+steps, and reads parents, depths and height truncations off it with
+vectorised code; a PlaneTree is built from it only on request.
 """
 
 from __future__ import annotations
@@ -139,13 +143,18 @@ def unordered_code(tree: PlaneTree) -> str:
     unordered trees.  The root contributes no outer parentheses, matching
     plane_code on the single-vertex tree.
     """
-    n = tree.n_vertices
-    codes: list[str] = [""] * n
-    # children always have larger ids, so a reverse sweep sees them first
-    for v in range(n - 1, -1, -1):
-        parts = sorted("(" + codes[c] + ")" for c in tree.children[v])
-        codes[v] = "".join(parts)
-    return codes[0]
+    return parent_unordered_code(tree.parents())
+
+
+def parent_unordered_code(parent) -> str:
+    """unordered_code of the tree given by parent[v] < v for v >= 1, with
+    vertex 0 the root; any numbering where parents come first works, such
+    as preorder or breadth-first order."""
+    parts: list[list[str]] = [[] for _ in parent]
+    # children have larger ids, so a reverse sweep finishes them first
+    for v in range(len(parent) - 1, 0, -1):
+        parts[parent[v]].append("(" + "".join(sorted(parts[v])) + ")")
+    return "".join(sorted(parts[0]))
 
 
 def plane_embeddings_count(tree: PlaneTree) -> int:
@@ -191,7 +200,13 @@ def enumerate_plane_trees(n: int):
 
 
 def sample_plane_tree(n: int, rng: np.random.Generator) -> PlaneTree:
-    """Exactly uniform plane tree with n edges via the cycle lemma.
+    """Exactly uniform plane tree with n edges (see sample_dyck_word)."""
+    return tree_from_parents(dyck_parents(sample_dyck_word(n, rng))[0])
+
+
+def sample_dyck_word(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Exactly uniform Dyck word of length 2n via the cycle lemma, as int8
+    steps +1 (down the tree, "(") and -1 (back up, ")").
 
     Shuffle n up-steps and n+1 down-steps; of the 2n+1 cyclic rotations
     exactly one stays nonnegative until the final step.  Rotating to just
@@ -200,27 +215,57 @@ def sample_plane_tree(n: int, rng: np.random.Generator) -> PlaneTree:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return PlaneTree(((),))
     steps = np.ones(2 * n + 1, dtype=np.int8)
     steps[n:] = -1
     steps = rng.permutation(steps)
     sums = np.cumsum(steps)
     cut = int(np.argmin(sums)) + 1  # first position attaining the minimum
-    word = np.roll(steps, -cut)[: 2 * n]
-    return _tree_from_dyck(word)
+    return np.roll(steps, -cut)[: 2 * n]
 
 
-def _tree_from_dyck(word) -> PlaneTree:
-    children: list[list[int]] = [[]]
-    stack = [0]
-    nxt = 1
-    for s in word:
-        if s > 0:
-            children.append([])
-            children[stack[-1]].append(nxt)
-            stack.append(nxt)
-            nxt += 1
-        else:
-            stack.pop()
+def dyck_parents(word) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, depth) of every vertex of the plane tree of a Dyck word.
+
+    Vertex v >= 1 is opened by the v-th up-step, so the numbering is
+    preorder; parent[0] == -1.  The parent of v is the last vertex one
+    level higher opened before v, found for all vertices at once by a
+    binary search over the vertices sorted by (depth, position).
+    """
+    word = np.asarray(word)
+    up = np.flatnonzero(word > 0)
+    n = up.size
+    depth = np.zeros(n + 1, dtype=np.int64)
+    depth[1:] = np.cumsum(word, dtype=np.int64)[up]
+    width = word.size + 1  # positions, shifted by one for the root, stay below it
+    key = depth * width
+    key[1:] += up + 1
+    # vertex ids already follow position, so a stable sort by depth sorts
+    # by (depth, position); the narrow dtype lets numpy use a radix sort
+    order = np.argsort(depth.astype(np.min_scalar_type(n)), kind="stable")
+    before = np.searchsorted(key[order], key[1:] - width) - 1
+    parent = np.empty(n + 1, dtype=np.int64)
+    parent[0] = -1
+    parent[1:] = order[before]
+    return parent, depth
+
+
+def dyck_truncation_code(word, r: int) -> str:
+    """plane_code of the height-r truncation of the tree of a Dyck word.
+
+    A step is kept when its deeper end has height <= r: an up-step ends
+    at its deeper end, a down-step starts there.
+    """
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+    word = np.asarray(word)
+    deeper = np.cumsum(word, dtype=np.int64) + (word < 0)
+    kept = word[deeper <= r]
+    return np.where(kept > 0, ord("("), ord(")")).astype(np.uint8).tobytes().decode("ascii")
+
+
+def tree_from_parents(parent) -> PlaneTree:
+    """PlaneTree of a preorder parent array (parent[0] == -1)."""
+    children: list[list[int]] = [[] for _ in range(len(parent))]
+    for v, p in enumerate(np.asarray(parent)[1:].tolist(), start=1):
+        children[p].append(v)
     return PlaneTree(tuple(tuple(cs) for cs in children))

@@ -225,3 +225,25 @@ def test_seed_out_of_range_is_usage_error(capsys):
                                 "--seed", str(2**64)])
     assert code == 2
     assert "seed" in err
+
+
+def test_count_asymptotic_counts_each_genus_once(capsys, monkeypatch):
+    import unimaps.asymptotics
+    import unimaps.cli
+
+    calls = []
+
+    def counted(n, g, *args, **kwargs):
+        calls.append((n, g))
+        return lehman_walsh_count(n, g, *args, **kwargs)
+
+    monkeypatch.setattr(unimaps.cli, "lehman_walsh_count", counted)
+    monkeypatch.setattr(unimaps.asymptotics, "lehman_walsh_count", counted)
+    code, out, _ = run(capsys, ["count", "--n", "10", "--asymptotic"])
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 6
+    assert sorted(calls) == [(10, g) for g in range(6)]
+    calls.clear()
+    code, out, _ = run(capsys, ["count", "--n", "40", "--g", "9", "--asymptotic"])
+    assert code == 0
+    assert calls == [(40, 9)]

@@ -42,6 +42,19 @@ def test_x_beta_sampling_is_odd_and_centered():
     assert single % 2 == 1
 
 
+def test_x_beta_cumulative_table():
+    law = XBetaLaw(0.5)
+    table = law.cumulative()
+    running = np.cumsum([law.pmf(v) for v in range(1, 2 * len(table), 2)])
+    np.testing.assert_allclose(table, running, rtol=1e-14, atol=0)
+    # the unbounded table covers the law to double precision
+    assert 1.0 - table[-1] < 2.0 ** -52
+    capped = law.cumulative(max_value=9)
+    assert len(capped) == 5
+    assert capped[-1] == pytest.approx(table[4], rel=1e-15)
+    assert XBetaLaw(0.0).cumulative().tolist() == [1.0]
+
+
 def test_size_biased_pmf():
     assert size_biased_cycle_pmf(0.5, 3) == pytest.approx(0.1875, rel=1e-12)
     beta = 0.5

@@ -1,8 +1,13 @@
 """Uniform map sampler built from decorated trees."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from unimaps import sampler as sampler_module
+from unimaps.counting import odd_partitions, perm_count_for_type
+from unimaps.maps import ball_with_vertices, graph_tree_unordered_code
 from unimaps.sampler import (
     OddCyclePermutationSampler,
     ball_as_tree,
@@ -11,6 +16,8 @@ from unimaps.sampler import (
     sample_odd_cycle_permutation,
     sample_unicellular,
 )
+from unimaps.stats import chi_square_gof
+from unimaps.trees import plane_code
 
 
 def test_permutation_sampler_cycle_types():
@@ -99,3 +106,118 @@ def test_determinism_by_seed():
     assert a.graph.edges == b.graph.edges
     assert a.source.perm.image == b.source.perm.image
     assert a.source.signs == b.source.signs
+
+
+@pytest.mark.parametrize("m,s", [(7, 3), (9, 3), (15, 5), (21, 7)])
+def test_cycle_type_frequencies_match_exact_law(m, s):
+    # P(type) is the share of odd-cycle permutations with that cycle type
+    weights = {p.parts: perm_count_for_type(p, m) for p in odd_partitions(m, s)}
+    total = sum(weights.values())
+    probs = {parts: w / total for parts, w in weights.items()}
+    rng = np.random.default_rng(1000 + m)
+    sampler = OddCyclePermutationSampler(m, s)
+    draws = 20_000
+    counts = Counter(tuple(sorted(sampler.sample_sizes(rng).tolist(), reverse=True))
+                     for _ in range(draws))
+    assert set(counts) <= set(probs)
+    assert chi_square_gof(counts, probs, draws).p_value > 0.001
+
+
+@pytest.mark.parametrize("m,s", [(9, 1), (9, 9), (2001, 3), (20001, 10001)])
+def test_cycle_sizes_are_valid_at_the_extremes(m, s):
+    rng = np.random.default_rng(s)
+    sampler = OddCyclePermutationSampler(m, s)
+    for _ in range(3):
+        sizes = sampler.sample_sizes(rng)
+        assert len(sizes) == s
+        assert int(sizes.sum()) == m
+        assert np.all(sizes % 2 == 1)
+
+
+def test_cold_and_warm_cache_draws_agree():
+    def draw():
+        sample = sample_unicellular(300, 60, np.random.default_rng(99))
+        return sample.src.tolist(), sample.dst.tolist(), sample.source.signs
+
+    sampler_module._size_law.cache_clear()
+    cold = draw()
+    assert sampler_module._size_law.cache_info().currsize == 1
+    assert draw() == cold
+
+
+def _reference_ball(graph, mask, r):
+    """The radius-r ball by a full BFS over the edge list: (is_tree,
+    unordered code or None, vertex count, non-fixed count)."""
+    nbrs = [[] for _ in range(graph.n_vertices)]
+    for u, v in graph.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    dist = {graph.root_vertex: 0}
+    queue = [graph.root_vertex]
+    for u in queue:
+        for w in nbrs[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    inside = {v for v, d in dist.items() if d <= r}
+    n_edges = sum(1 for u, v in graph.edges
+                  if u in inside and v in inside and min(dist[u], dist[v]) <= r - 1)
+    is_tree = n_edges == len(inside) - 1
+
+    def code(v):
+        kids = [w for w in nbrs[v] if w in inside and dist[w] == dist[v] + 1]
+        return "".join(sorted("(" + code(w) + ")" for w in kids))
+
+    nonfixed = sum(1 for v in inside if not mask[v])
+    return is_tree, code(graph.root_vertex) if is_tree else None, len(inside), nonfixed
+
+
+def test_csr_ball_matches_full_bfs_reference():
+    rng = np.random.default_rng(31)
+    loops = multi = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 41))
+        g = int(rng.integers(0, n // 2 + 1))
+        sample = sample_unicellular(n, g, rng)
+        graph = sample.graph
+        loops += any(u == v for u, v in graph.edges)
+        multi += len(set(map(frozenset, graph.edges))) < len(graph.edges)
+        for r in range(4):
+            shape = ball_as_tree(sample, r)
+            expected = _reference_ball(graph, sample.fixed_point_mask, r)
+            assert (shape.is_tree, shape.unordered_code, shape.n_vertices,
+                    shape.n_nonfixed) == expected
+            if shape.is_tree and shape.n_nonfixed == 0:
+                assert shape.plane_code == plane_code(sample.source.tree.truncate(r))
+            else:
+                assert shape.plane_code is None
+            ball, kept = ball_with_vertices(graph, r)
+            assert (ball.n_vertices, ball.is_tree()) == (shape.n_vertices, shape.is_tree)
+            if shape.is_tree:
+                assert graph_tree_unordered_code(ball) == shape.unordered_code
+            for inner in range(r + 1):
+                # balls nest: cutting a ball again gives the smaller ball
+                assert ball_with_vertices(ball, inner)[0] == ball_with_vertices(graph, inner)[0]
+    assert loops and multi
+
+
+def test_quotient_matches_the_permutation_cycles():
+    # graph vertices are the cycles, the root's cycle is vertex 0, and a
+    # vertex is fixed exactly when its cycle is a singleton
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        sample = sample_unicellular(12, 3, rng)
+        cycles = sample.source.perm.cycles()
+        owner = {}
+        for c in cycles:
+            for v in c:
+                owner[v] = c
+        parents = sample.source.tree.parents()
+        vertex_of = {}
+        for v, edge in zip(range(1, 13), sample.graph.edges):
+            for cycle, vertex in zip((owner[parents[v]], owner[v]), edge):
+                assert vertex_of.setdefault(cycle, vertex) == vertex
+        assert vertex_of[owner[0]] == 0
+        assert len(set(vertex_of.values())) == len(cycles) == sample.graph.n_vertices
+        for c, vertex in vertex_of.items():
+            assert sample.fixed_point_mask[vertex] == (len(c) == 1)

@@ -6,6 +6,8 @@ import pytest
 from unimaps.trees import (
     PlaneTree,
     catalan,
+    dyck_parents,
+    dyck_truncation_code,
     enumerate_plane_trees,
     parse_plane_code,
     plane_code,
@@ -89,3 +91,18 @@ def test_sampled_sizes():
         assert isinstance(t, PlaneTree)
         assert t.n_edges == n
         assert t.n_vertices == n + 1
+
+
+def test_dyck_word_arrays_match_tuple_trees():
+    # the vectorised parents, depths and truncation codes against the
+    # tuple parser and PlaneTree.truncate, on every tree with n <= 7
+    for n in range(8):
+        for tree in enumerate_plane_trees(n):
+            code = plane_code(tree)
+            word = np.array([1 if c == "(" else -1 for c in code], dtype=np.int8)
+            parent, depth = dyck_parents(word)
+            reference = parse_plane_code(code)
+            assert parent.tolist() == reference.parents()
+            assert depth.tolist() == reference.heights()
+            for r in range(4):
+                assert dyck_truncation_code(word, r) == plane_code(tree.truncate(r))
