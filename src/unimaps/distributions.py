@@ -46,8 +46,7 @@ class XBetaLaw:
     """Odd-supported law P(X = 2k+1) = beta^(2k+1) / (Z * (2k+1)).
 
     Z = atanh(beta) normalizes the series.  beta = 0 degenerates to a point
-    mass at 1.  Sampling is inverse-CDF over the cumulative table of
-    `cumulative`, which is short because the tail decays like beta^v.
+    mass at 1.
     """
 
     def __init__(self, beta: float):
@@ -62,39 +61,38 @@ class XBetaLaw:
             return 1.0 if value == 1 else 0.0
         return self.beta ** value / (self.z_beta * value)
 
-    def cumulative(self, max_value=None) -> np.ndarray:
-        """Cumulative masses of the odd values 1, 3, 5, ... in one
-        vectorised step: entry k is P(X <= 2k+1).
+    def cumulative(self, max_value: int) -> np.ndarray:
+        """Cumulative masses of the odd values 1, 3, 5, ... up to max_value
+        in one vectorised step: entry k is P(X <= 2k+1).
 
-        The table stops at max_value, or earlier where the mass left
-        beyond it, at most beta^(v+2) / (Z (1 - beta^2)) past value v,
-        is below double precision, so every value it drops has
-        probability under 2^-53.
+        The table stops earlier where the mass left beyond value v, at
+        most beta^(v+2) / (Z (1 - beta^2)), is below double precision, so
+        every value it drops has probability under 2^-53.
         """
         if self.beta == 0.0:
             return np.ones(1)
         b, z = self.beta, self.z_beta
         top = math.ceil(math.log(2.0 ** -53 * z * (1.0 - b * b)) / math.log(b))
-        if max_value is not None:
-            top = min(top, int(max_value))
-        values = np.arange(1, max(top, 1) + 1, 2, dtype=np.float64)
+        values = np.arange(1, max(min(top, int(max_value)), 1) + 1, 2, dtype=np.float64)
         return np.cumsum(b ** values / (z * values))
 
-    def sample(self, rng: np.random.Generator, size=None, max_value=None):
-        """Draw odd values; `max_value` truncates the law (renormalized).
+    def sample(self, rng: np.random.Generator, size=None):
+        """Draw odd values exactly, with no table, for any beta < 1.
 
-        Truncation keeps conditional draws exact for rejection pipelines:
-        restricting the support does not change relative weights.
+        beta^k / k is the integral of t^(k-1) over [0, beta], so X is a
+        mixture: T has density proportional to 1 / (1 - t^2) on [0, beta],
+        drawn as tanh(U * Z), and given T = t, X = 2G - 1 with G geometric
+        of success probability 1 - t^2, which puts mass proportional to
+        t^(k-1) on each odd k.
         """
         if self.beta == 0.0:
             if size is None:
                 return 1
             return np.ones(size, dtype=np.int64)
-        table = self.cumulative(max_value)
         scalar = size is None
-        u = rng.random(1 if scalar else size) * table[-1]
-        idx = np.minimum(np.searchsorted(table, u, side="left"), len(table) - 1)
-        values = 2 * idx + 1
+        # the clip keeps 1 - t^2 positive where tanh rounds up to 1
+        t = np.minimum(np.tanh(rng.random(1 if scalar else size) * self.z_beta), self.beta)
+        values = 2 * rng.geometric((1.0 - t) * (1.0 + t)) - 1
         if scalar:
             return int(values[0])
         return values.astype(np.int64)

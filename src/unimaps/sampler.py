@@ -69,15 +69,15 @@ def _block_permutation(labels: np.ndarray, sizes: np.ndarray) -> Permutation:
 class CDecoratedTree:
     """Plane tree + all-odd-cycle vertex permutation + one sign per cycle.
 
-    word is the tree's Dyck word and parent its preorder parent array
-    (parent[0] == -1).  The permutation is labels cut into consecutive
-    blocks of the given odd sizes, each block one cycle (see
-    _block_permutation); cycle_signs holds one sign per block.  tree, perm
-    and signs give the tuple forms, built on first read.
+    word is the tree's Dyck word, the one source of the tree: parent, its
+    preorder parent array (parent[0] == -1), is read off it on first use.
+    The permutation is labels cut into consecutive blocks of the given odd
+    sizes, each block one cycle (see _block_permutation); cycle_signs holds
+    one sign per block.  tree, perm and signs give the tuple forms, built
+    on first read.
     """
 
     word: np.ndarray
-    parent: np.ndarray
     labels: np.ndarray
     sizes: np.ndarray
     cycle_signs: np.ndarray
@@ -88,10 +88,6 @@ class CDecoratedTree:
         if (len(self.word) != 2 * (m - 1) or not np.all(np.abs(self.word) == 1)
                 or (m > 1 and (heights.min() < 0 or heights[-1] != 0))):
             raise ValueError("tree word must be a Dyck word on the vertex count")
-        if (len(self.parent) != m or self.parent[0] != -1
-                or not np.all((self.parent[1:] >= 0)
-                              & (self.parent[1:] < np.arange(1, m)))):
-            raise ValueError("parents must be preorder-numbered")
         if not np.array_equal(np.bincount(self.labels, minlength=m), np.ones(m)):
             raise ValueError("labels must be a permutation of the vertices")
         if (np.any(self.sizes < 1) or np.any(self.sizes % 2 == 0)
@@ -113,6 +109,10 @@ class CDecoratedTree:
     @property
     def genus(self) -> int:
         return (len(self.labels) - self.n_cycles) // 2
+
+    @cached_property
+    def parent(self) -> np.ndarray:
+        return dyck_parents(self.word)[0]
 
     @cached_property
     def tree(self) -> PlaneTree:
@@ -335,7 +335,7 @@ def sample_c_decorated_tree(n: int, g: int, rng: np.random.Generator) -> CDecora
     word = sample_dyck_word(n, rng)
     labels, sizes = OddCyclePermutationSampler(n + 1, s).sample_blocks(rng)
     signs = 2 * rng.integers(0, 2, size=s) - 1
-    return CDecoratedTree(word, dyck_parents(word)[0], labels, sizes, signs)
+    return CDecoratedTree(word, labels, sizes, signs)
 
 
 def _quotient(cdt: CDecoratedTree) -> UnicellularSample:

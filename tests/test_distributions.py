@@ -44,15 +44,29 @@ def test_x_beta_sampling_is_odd_and_centered():
 
 def test_x_beta_cumulative_table():
     law = XBetaLaw(0.5)
-    table = law.cumulative()
+    table = law.cumulative(10 ** 6)
     running = np.cumsum([law.pmf(v) for v in range(1, 2 * len(table), 2)])
     np.testing.assert_allclose(table, running, rtol=1e-14, atol=0)
-    # the unbounded table covers the law to double precision
+    # a long cap is cut where the law is covered to double precision
+    assert len(table) < 40
     assert 1.0 - table[-1] < 2.0 ** -52
-    capped = law.cumulative(max_value=9)
+    capped = law.cumulative(9)
     assert len(capped) == 5
     assert capped[-1] == pytest.approx(table[4], rel=1e-15)
-    assert XBetaLaw(0.0).cumulative().tolist() == [1.0]
+    assert XBetaLaw(0.0).cumulative(9).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.9, 0.999999, 1.0 - 2.0 ** -53])
+def test_x_beta_sampling_matches_pmf_up_to_beta_near_one(beta):
+    law = XBetaLaw(beta)
+    n = 40000
+    draws = law.sample(np.random.default_rng(17), size=n)
+    assert draws.dtype == np.int64 and np.all(draws >= 1) and np.all(draws % 2 == 1)
+    for v in (1, 3, 5):
+        p = law.pmf(v)
+        z = (np.count_nonzero(draws == v) - n * p) / np.sqrt(n * p * (1.0 - p))
+        assert abs(z) < 4.5, (v, z)
+    assert x_beta_sample(beta, np.random.default_rng(17)) % 2 == 1
 
 
 def test_size_biased_pmf():
