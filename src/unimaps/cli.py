@@ -125,8 +125,10 @@ def _cmd_gw(args) -> int:
     rng = np.random.default_rng(args.seed)
     counts: Counter = Counter()
     for _ in range(args.samples):
-        tree = gw_inf_ball_sample(args.xi, args.r, rng)
-        counts[f"k={tree.n_edges} d={tree.count_at_height(args.r)}"] += 1
+        word = gw_inf_ball_sample(args.xi, args.r, rng)
+        # a vertex at depth r >= 1 is opened by an up-step ending at height r
+        d = int(np.count_nonzero(np.cumsum(word) == args.r)) if args.r else 1
+        counts[f"k={word.size // 2} d={d}"] += 1
     rows = [[key, counts[key] / args.samples] for key in sorted(counts)]
     _rows_out(args, ["value", "probability"], rows)
     return 0

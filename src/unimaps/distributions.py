@@ -5,9 +5,22 @@ their survival conditioning.
 The branching tree T(xi) has offspring law P(c = j) = xi * (1 - xi)^j on
 j >= 0.  For xi < 1/2 it is supercritical with extinction probability
 xi / (1 - xi).  The survival-conditioned tree splits every vertex into
-"surviving" (at least one surviving child, forever) and "doomed" (its
-subtree dies out); both offspring laws below are derived from the h-transform
-and locked in by tests against the closed-form ball law.
+"surviving" (at least one surviving child, forever) and "free" (its
+subtree dies out); both offspring laws follow from the h-transform and
+are locked in by tests against the closed-form ball law.
+
+Both ball samplers use one gap rule and return the ball as a Dyck word
+(int8 steps +1/-1, as in `trees`).  A vertex with j surviving children
+has j + 1 gaps; each gap holds Geometric(p) - 1 free children, and the j
+surviving children separate the gaps.  A surviving vertex draws
+j ~ Geometric(q) with q = xi / (1 - xi), a free vertex has j = 0.  The
+conditioned tree starts from a surviving root with p = 1 - xi; T(xi)
+itself starts from a free root with p = xi.
+
+At criticality xi = 1/2 the same rule is the spine construction: q = 1
+gives exactly one surviving child, and given G1 + G2 - 1 children, with
+G1, G2 the two gaps plus one, the survivor's position G1 is uniform,
+which is the size-biased spine vertex with a uniform continuation.
 """
 
 from __future__ import annotations
@@ -176,135 +189,69 @@ def extinction_prob(xi: float) -> float:
     return xi / (1.0 - xi)
 
 
-class _GeomBuffer:
-    """Serves scalar Geometric(p) draws from vectorized blocks."""
+def _ball_word(r: int, p: float, q: float | None, rng: np.random.Generator) -> np.ndarray:
+    """Dyck word of the height-r ball of a branching tree grown by the gap
+    rule of the module docstring, one generation per batch of draws.
 
-    def __init__(self, p: float, rng: np.random.Generator, block: int = 4096):
-        self.p = p
-        self.rng = rng
-        self.block = block
-        self._buf = rng.geometric(p, size=block)
-        self._pos = 0
+    q None starts from a free root, so no vertex survives.  Each
+    generation's children enter the word as "()" pairs right after their
+    parent's up-step, which keeps the word in preorder.
+    """
+    word = np.zeros(0, dtype=np.int8)
+    pos = np.array([-1])  # up-step of each vertex of the generation; none for the root
+    surviving = np.array([q is not None])
+    for _ in range(r):
+        if pos.size == 0:
+            break
+        gaps = np.ones(pos.size, dtype=np.int64)
+        if q is not None:
+            gaps[surviving] += rng.geometric(q, size=int(np.count_nonzero(surviving)))
+        last_gap = np.cumsum(gaps) - 1
+        sep = np.ones(last_gap[-1] + 1, dtype=bool)
+        sep[last_gap] = False  # a surviving child follows every gap but the last
+        slots = np.cumsum(rng.geometric(p, size=sep.size) - 1 + sep)
+        n_children = slots[last_gap]
+        n_children[1:] -= n_children[:-1]
+        # children of earlier vertices precede these in the word, two steps each
+        pos = np.repeat(pos, n_children) + 1 + 2 * np.arange(slots[-1])
+        # the old steps fill the other places, in order
+        grown = np.full(word.size + 2 * pos.size, -1, dtype=np.int8)
+        old = np.ones(grown.size, dtype=bool)
+        old[pos] = old[pos + 1] = False
+        grown[old] = word
+        grown[pos] = 1
+        word = grown
+        if q is not None:
+            surviving = np.zeros(pos.size, dtype=bool)
+            surviving[slots[sep] - 1] = True
+    return word
 
-    def take(self) -> int:
-        if self._pos == len(self._buf):
-            self._buf = self.rng.geometric(self.p, size=self.block)
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return int(v)
 
+def gw_ball_sample(xi: float, r: int, rng: np.random.Generator) -> np.ndarray:
+    """Dyck word of the height-r truncation of the unconditioned tree T(xi).
 
-def _preorder_tree(children_lists: list[list[int]]) -> PlaneTree:
-    """Renumber a child-index forest (rooted at node 0) into preorder."""
-    order = {}
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        order[node] = len(order)
-        stack.extend(reversed(children_lists[node]))
-    out: list[list[int]] = [[] for _ in children_lists]
-    for node, kids in enumerate(children_lists):
-        out[order[node]] = [order[c] for c in kids]
-    return PlaneTree(tuple(tuple(k) for k in out))
-
-
-def gw_ball_sample(xi: float, r: int, rng: np.random.Generator) -> PlaneTree:
-    """Height-r truncation of the unconditioned tree T(xi).
-
-    Offspring are Geometric(xi) - 1.  The tree may be infinite (xi < 1/2 is
-    supercritical) but the truncation is always finite.
+    Every vertex is free: one gap of Geometric(xi) - 1 children.  The tree
+    may be infinite (xi < 1/2 is supercritical) but the truncation is
+    always finite.
     """
     _check_xi(xi, allow_critical=False)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    geo = _GeomBuffer(xi, rng)
-    children: list[list[int]] = [[]]
-    frontier = [0]
-    for _ in range(r):
-        nxt = []
-        for node in frontier:
-            c = geo.take() - 1
-            for _ in range(c):
-                children.append([])
-                idx = len(children) - 1
-                children[node].append(idx)
-                nxt.append(idx)
-        frontier = nxt
-    return _preorder_tree(children)
+    return _ball_word(r, xi, None, rng)
 
 
-def gw_inf_ball_sample(xi: float, r: int, rng: np.random.Generator) -> PlaneTree:
-    """Radius-r ball of the survival-conditioned tree, drawn exactly.
+def gw_inf_ball_sample(xi: float, r: int, rng: np.random.Generator) -> np.ndarray:
+    """Dyck word of the radius-r ball of the survival-conditioned tree,
+    drawn exactly by the gap rule from a surviving root with
+    p = 1 - xi and q = xi / (1 - xi).
 
-    For xi < 1/2: the surviving skeleton puts Geometric(p_die) surviving
-    children at each surviving vertex, doomed children fill the gaps around
-    them i.i.d. Geometric(1-xi) - 1, and each doomed vertex heads a
-    subcritical tree with that same offspring law.  At xi = 1/2 the
-    conditioning degenerates to the critical spine construction: spine
-    vertices get size-biased offspring (two Geometric(1/2) minus 1) with the
-    spine continuation uniform among them, all other children head
-    unconditioned critical trees.
+    At xi = 1/2 this is the critical spine construction (see the module
+    docstring), so no separate branch is needed.
     """
     _check_xi(xi, allow_critical=True)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    children: list[list[int]] = [[]]
-    if r == 0:
-        return PlaneTree(((),))
-
-    def grow_doomed(root: int, depth_left: int, geo: _GeomBuffer):
-        # plain branching with offspring Geometric(1-xi) - 1, cut at depth
-        frontier = [root]
-        for _ in range(depth_left):
-            nxt = []
-            for node in frontier:
-                for _ in range(geo.take() - 1):
-                    children.append([])
-                    idx = len(children) - 1
-                    children[node].append(idx)
-                    nxt.append(idx)
-            frontier = nxt
-
-    if xi == 0.5:
-        geo_half = _GeomBuffer(0.5, rng)
-        spine = 0
-        for depth in range(r):
-            c = geo_half.take() + geo_half.take() - 1
-            keep = int(rng.integers(c))
-            for i in range(c):
-                children.append([])
-                idx = len(children) - 1
-                children[spine].append(idx)
-                if i == keep:
-                    nxt_spine = idx
-                else:
-                    grow_doomed(idx, r - depth - 1, geo_half)
-            spine = nxt_spine
-        return _preorder_tree(children)
-
-    q = xi / (1.0 - xi)
-    geo_surv = _GeomBuffer(q, rng)
-    geo_doom = _GeomBuffer(1.0 - xi, rng)
-    surviving = [0]
-    for depth in range(r):
-        nxt = []
-        for node in surviving:
-            j = geo_surv.take()
-            # j surviving children, doomed ones fill the j+1 gaps
-            for gap in range(j + 1):
-                for _ in range(geo_doom.take() - 1):
-                    children.append([])
-                    idx = len(children) - 1
-                    children[node].append(idx)
-                    grow_doomed(idx, r - depth - 1, geo_doom)
-                if gap < j:
-                    children.append([])
-                    idx = len(children) - 1
-                    children[node].append(idx)
-                    nxt.append(idx)
-        surviving = nxt
-    return _preorder_tree(children)
+    return _ball_word(r, 1.0 - xi, xi / (1.0 - xi), rng)
 
 
 def ball_probability_kd(xi: float, k: int, d: int) -> float:
@@ -349,25 +296,17 @@ def inf_ball_generation_sizes(xi: float, r: int, rng: np.random.Generator) -> np
     """Generation sizes Z_0..Z_r of the survival-conditioned tree, drawn
     exactly but in aggregate, without materializing vertices.
 
-    Sums of i.i.d. geometric offspring collapse into negative binomial
-    draws, so one sample costs O(r) regardless of how large the
-    generations get (they grow like (1/p_die)^h for xi < 1/2).
+    Sums of i.i.d. gap counts collapse into negative binomial draws, so
+    one sample costs O(r) regardless of how large the generations get
+    (they grow like ((1 - xi) / xi)^h for xi < 1/2).  At xi = 1/2, q = 1
+    keeps exactly one surviving vertex per generation.
     """
     _check_xi(xi, allow_critical=True)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    if xi == 0.5:
-        # spine + critical bushes; spine offspring is size-biased
-        b = 0  # non-spine vertices in the current generation
-        sizes = [1]
-        for _ in range(r):
-            c = int(rng.geometric(0.5)) + int(rng.geometric(0.5)) - 1
-            b = (c - 1) + int(rng.negative_binomial(b, 0.5)) if b > 0 else c - 1
-            sizes.append(b + 1)
-        return np.array(sizes, dtype=np.int64)
     q = xi / (1.0 - xi)
     s = 1  # surviving vertices at the current height
-    d = 0  # doomed vertices at the current height
+    d = 0  # free vertices at the current height
     sizes = [1]
     for _ in range(r):
         s_next = s + int(rng.negative_binomial(s, q))

@@ -32,7 +32,7 @@ from .distributions import (
     ball_probability,
     ball_probability_kd,
     inf_ball_generation_sizes,
-    root_degree_limit_pmf,
+    root_degree_pmf_beta,
 )
 from .oracle import NON_TREE, exact_ball_dist, exact_root_degree_dist, exact_tree_ball_dist
 from .sampler import ball_as_tree, root_degree, sample_unicellular
@@ -426,7 +426,7 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
     degrees = _fanout(cfg, worker)["deg"]
     d_max = max(degrees)
     if reference == "limit":
-        probs = {d: root_degree_limit_pmf(cfg.theta, d) for d in range(1, d_max + 1)}
+        probs = {d: root_degree_pmf_beta(beta, d) for d in range(1, d_max + 1)}
     else:
         exact = exact_root_degree_dist(cfg.n, cfg.g)
         probs = {d: float(p) for d, p in sorted(exact.probs.items())}

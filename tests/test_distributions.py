@@ -1,6 +1,7 @@
 """Odd-valued step law, branching-tree ball laws, and their samplers."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from unimaps.distributions import (
     x_beta_pmf,
     x_beta_sample,
 )
-from unimaps.trees import enumerate_plane_trees, plane_code
+from unimaps.trees import dyck_truncation_code, enumerate_plane_trees, parse_plane_code
 
 
 def test_x_beta_pmf_frozen_and_normalized():
@@ -121,26 +122,31 @@ def test_extinction_prob():
 
 
 def test_gw_ball_sampler_shapes():
+    xi, r, draws = 0.4, 2, 20000
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        t = gw_ball_sample(0.4, 2, rng)
-        assert t.height() <= 2
-        s = gw_inf_ball_sample(0.4, 2, rng)
-        assert s.height() == 2
+    counts = Counter()
+    for _ in range(draws):
+        word = gw_ball_sample(xi, r, rng)
+        assert np.cumsum(word).max(initial=0) <= r
+        counts[dyck_truncation_code(word, r)] += 1
+        assert np.cumsum(gw_inf_ball_sample(xi, r, rng)).max() == r
+    probs = {code: gw_ball_probability(xi, parse_plane_code(code), r) for code in counts}
+    for code in sorted(probs, key=probs.get, reverse=True)[:15]:
+        se = math.sqrt(probs[code] * (1 - probs[code]) / draws)
+        assert abs(counts[code] / draws - probs[code]) < 4.5 * se, code
 
 
 def test_inf_ball_against_formula_small():
-    xi, r, draws = 0.3, 1, 20000
+    r, draws = 1, 20000
     rng = np.random.default_rng(2)
-    counts = {}
-    for _ in range(draws):
-        code = plane_code(gw_inf_ball_sample(xi, r, rng))
-        counts[code] = counts.get(code, 0) + 1
-    for d in range(1, 5):
-        code = "()" * d
-        prob = ball_probability_kd(xi, d, d)
-        se = math.sqrt(prob * (1 - prob) / draws)
-        assert abs(counts.get(code, 0) / draws - prob) < 4.5 * se
+    for xi in (0.3, 0.5):
+        counts = Counter(dyck_truncation_code(gw_inf_ball_sample(xi, r, rng), r)
+                         for _ in range(draws))
+        for d in range(1, 5):
+            code = "()" * d
+            prob = ball_probability_kd(xi, d, d)
+            se = math.sqrt(prob * (1 - prob) / draws)
+            assert abs(counts[code] / draws - prob) < 4.5 * se, (xi, code)
 
 
 def test_unconditioned_ball_probability():
@@ -159,3 +165,22 @@ def test_generation_sizes_start_at_root():
     assert gen[0] == 1
     assert len(gen) == 5
     assert all(g >= 1 for g in gen)
+
+
+def test_generation_sizes_match_ball_law():
+    # at r = 2 the j = Z1 root children carry d = Z2 grandchildren in
+    # C(d + j - 1, j - 1) plane arrangements, all of ball probability
+    # ball_probability_kd(xi, j + d, d)
+    r, draws = 2, 40000
+    rng = np.random.default_rng(9)
+    for xi in (0.3, 0.5):
+        cells = {(j + d, d): math.comb(d + j - 1, j - 1) * ball_probability_kd(xi, j + d, d)
+                 for j in range(1, 80) for d in range(1, 200)}
+        assert sum(cells.values()) == pytest.approx(1.0, abs=1e-9)
+        counts = Counter()
+        for _ in range(draws):
+            gen = inf_ball_generation_sizes(xi, r, rng)
+            counts[(int(gen[1] + gen[2]), int(gen[2]))] += 1
+        for kd in sorted(cells, key=cells.get, reverse=True)[:15]:
+            se = math.sqrt(cells[kd] * (1 - cells[kd]) / draws)
+            assert abs(counts[kd] / draws - cells[kd]) < 4.5 * se, (xi, kd)
