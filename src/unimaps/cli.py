@@ -18,7 +18,7 @@ import numpy as np
 
 from .asymptotics import log_asymptotic_count, ratio_to_exact, regime
 from .counting import lehman_walsh_count
-from .distributions import gw_inf_ball_sample, root_degree_limit_pmf
+from .distributions import gw_inf_ball_sample, inf_ball_mean_size, root_degree_limit_pmf
 from .experiments import (
     ExperimentConfig,
     degree_profile,
@@ -28,6 +28,12 @@ from .experiments import (
 from .oracle import census, verify_surgery
 from .sampler import sample_unicellular
 from .trees import enumerate_plane_trees, parse_plane_code, plane_code
+
+
+# vertices one gw chunk holds on average: enough small balls to share the
+# fixed numpy cost of each generation, few enough that the forest's
+# temporaries stay well under a megabyte; a larger ball is drawn alone
+GW_CHUNK_VERTICES = 1 << 13
 
 
 def _write(args, text: str) -> None:
@@ -97,7 +103,13 @@ def _cmd_root_degree(args) -> int:
     return 0
 
 
+def _check_samples(args) -> None:
+    if args.samples < 1:
+        raise ValueError("need at least one sample")
+
+
 def _cmd_sample(args) -> int:
+    _check_samples(args)
     rng = np.random.default_rng(args.seed)
     lines = []
     for _ in range(args.samples):
@@ -121,15 +133,35 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _gw_chunk(xi: float, r: int) -> int:
+    """Balls per gw draw: as many as GW_CHUNK_VERTICES holds on average."""
+    return max(1, int(GW_CHUNK_VERTICES // inf_ball_mean_size(xi, r)))
+
+
+def _ball_kd(forest: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges k and depth-r vertices d of every ball of a forest word."""
+    # a ball ends where the word returns to depth 0; its depth-r vertices
+    # are opened by the steps reaching the forest's deepest level r + 1.
+    # Depths stay within 0..r + 1, so int8 keeps this pass a byte a step.
+    depth = np.cumsum(forest, dtype=np.int8 if r < 127 else np.int64)
+    ends = np.flatnonzero(depth == 0)
+    deep = depth == r + 1
+    k = np.diff(ends, prepend=-1) // 2 - 1
+    return k, np.add.reduceat(deep, ends - 2 * k - 1, dtype=np.int64)
+
+
 def _cmd_gw(args) -> int:
+    _check_samples(args)
     rng = np.random.default_rng(args.seed)
+    chunk = _gw_chunk(args.xi, args.r)
     counts: Counter = Counter()
-    for _ in range(args.samples):
-        word = gw_inf_ball_sample(args.xi, args.r, rng)
-        # a vertex at depth r >= 1 is opened by an up-step ending at height r
-        d = int(np.count_nonzero(np.cumsum(word) == args.r)) if args.r else 1
-        counts[f"k={word.size // 2} d={d}"] += 1
-    rows = [[key, counts[key] / args.samples] for key in sorted(counts)]
+    for start in range(0, args.samples, chunk):
+        # no forest outlives its chunk, so a large ball never waits in
+        # memory while the next one grows
+        k, d = _ball_kd(gw_inf_ball_sample(args.xi, args.r, rng,
+                                           size=min(chunk, args.samples - start)), args.r)
+        counts.update(zip(k.tolist(), d.tolist()))
+    rows = sorted([f"k={k} d={d}", c / args.samples] for (k, d), c in counts.items())
     _rows_out(args, ["value", "probability"], rows)
     return 0
 

@@ -21,6 +21,18 @@ At criticality xi = 1/2 the same rule is the spine construction: q = 1
 gives exactly one surviving child, and given G1 + G2 - 1 children, with
 G1, G2 the two gaps plus one, the survivor's position G1 is uniform,
 which is the size-biased spine vertex with a uniform continuation.
+
+With size=B the ball samplers draw B independent balls in one call and
+return them as one forest word: the Dyck word of a tree whose root has
+the B balls as its subtrees, in draw order.  Every generation of all B
+balls costs one batch of numpy calls, so the fixed cost per call is
+shared.  `trees.dyck_forest_codes` splits the word, and cumsum over it
+gives every ball's depths at once.  size=None draws one ball with the
+same random draws as a forest of one.  A batch's memory grows with its
+vertex count, and the mean ball size (`inf_ball_mean_size`) spans orders
+of magnitude across xi and r, so callers size batches by a vertex
+budget rather than a ball count.  `inf_ball_generation_sizes` takes the
+same size argument.
 """
 
 from __future__ import annotations
@@ -47,6 +59,7 @@ __all__ = [
     "ball_probability_kd",
     "gw_ball_probability",
     "inf_ball_generation_sizes",
+    "inf_ball_mean_size",
 ]
 
 
@@ -189,17 +202,27 @@ def extinction_prob(xi: float) -> float:
     return xi / (1.0 - xi)
 
 
-def _ball_word(r: int, p: float, q: float | None, rng: np.random.Generator) -> np.ndarray:
-    """Dyck word of the height-r ball of a branching tree grown by the gap
-    rule of the module docstring, one generation per batch of draws.
+def _ball_word(r: int, p: float, q: float | None, rng: np.random.Generator,
+               size: int | None) -> np.ndarray:
+    """Height-r balls of a branching tree grown by the gap rule of the
+    module docstring, one generation per batch of draws for all of them.
 
-    q None starts from a free root, so no vertex survives.  Each
+    The balls grow side by side as a forest: the word starts as "()" once
+    per ball and is the Dyck word of a tree whose root has the balls as
+    its subtrees, in draw order.  size None draws one ball and strips
+    that outer pair, which makes the same draws as a forest of one.
+    q None starts from free roots, so no vertex survives.  Each
     generation's children enter the word as "()" pairs right after their
     parent's up-step, which keeps the word in preorder.
     """
-    word = np.zeros(0, dtype=np.int8)
-    pos = np.array([-1])  # up-step of each vertex of the generation; none for the root
-    surviving = np.array([q is not None])
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+    roots = 1 if size is None else int(size)
+    if roots < 0:
+        raise ValueError("size must be >= 0")
+    word = np.tile(np.array([1, -1], dtype=np.int8), roots)
+    pos = 2 * np.arange(roots)  # up-step of each vertex of the generation
+    surviving = np.full(roots, q is not None)
     for _ in range(r):
         if pos.size == 0:
             break
@@ -224,34 +247,51 @@ def _ball_word(r: int, p: float, q: float | None, rng: np.random.Generator) -> n
         if q is not None:
             surviving = np.zeros(pos.size, dtype=bool)
             surviving[slots[sep] - 1] = True
-    return word
+    return word[1:-1] if size is None else word
 
 
-def gw_ball_sample(xi: float, r: int, rng: np.random.Generator) -> np.ndarray:
-    """Dyck word of the height-r truncation of the unconditioned tree T(xi).
+def gw_ball_sample(xi: float, r: int, rng: np.random.Generator,
+                   size: int | None = None) -> np.ndarray:
+    """Dyck word of the height-r truncation of the unconditioned tree T(xi),
+    or with size B the forest word of B independent ones (see _ball_word).
 
     Every vertex is free: one gap of Geometric(xi) - 1 children.  The tree
     may be infinite (xi < 1/2 is supercritical) but the truncation is
     always finite.
     """
     _check_xi(xi, allow_critical=False)
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    return _ball_word(r, xi, None, rng)
+    return _ball_word(r, xi, None, rng, size)
 
 
-def gw_inf_ball_sample(xi: float, r: int, rng: np.random.Generator) -> np.ndarray:
+def gw_inf_ball_sample(xi: float, r: int, rng: np.random.Generator,
+                       size: int | None = None) -> np.ndarray:
     """Dyck word of the radius-r ball of the survival-conditioned tree,
     drawn exactly by the gap rule from a surviving root with
-    p = 1 - xi and q = xi / (1 - xi).
+    p = 1 - xi and q = xi / (1 - xi); with size B the forest word of B
+    independent balls, each a subtree of the word's root.
 
     At xi = 1/2 this is the critical spine construction (see the module
     docstring), so no separate branch is needed.
     """
     _check_xi(xi, allow_critical=True)
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    return _ball_word(r, 1.0 - xi, xi / (1.0 - xi), rng)
+    return _ball_word(r, 1.0 - xi, xi / (1.0 - xi), rng, size)
+
+
+def inf_ball_mean_size(xi: float, r: int) -> float:
+    """Expected number of vertices of the radius-r ball of the
+    survival-conditioned tree.
+
+    By the gap rule a surviving vertex has on average (1 - xi) / xi
+    surviving and 1 / (1 - xi) free children, a free vertex
+    xi / (1 - xi) free children.
+    """
+    _check_xi(xi, allow_critical=True)
+    surviving, free, total = 1.0, 0.0, 1.0
+    for _ in range(r):
+        surviving, free = (surviving * (1.0 - xi) / xi,
+                           (surviving + free * xi) / (1.0 - xi))
+        total += surviving + free
+    return total
 
 
 def ball_probability_kd(xi: float, k: int, d: int) -> float:
@@ -292,9 +332,11 @@ def gw_ball_probability(xi: float, tree: PlaneTree, r: int) -> float:
     return (1.0 - xi) ** k * xi ** (k + 1 - d)
 
 
-def inf_ball_generation_sizes(xi: float, r: int, rng: np.random.Generator) -> np.ndarray:
+def inf_ball_generation_sizes(xi: float, r: int, rng: np.random.Generator,
+                              size: int | None = None) -> np.ndarray:
     """Generation sizes Z_0..Z_r of the survival-conditioned tree, drawn
-    exactly but in aggregate, without materializing vertices.
+    exactly but in aggregate, without materializing vertices; with size B
+    a (B, r + 1) array of B independent draws.
 
     Sums of i.i.d. gap counts collapse into negative binomial draws, so
     one sample costs O(r) regardless of how large the generations get
@@ -305,12 +347,13 @@ def inf_ball_generation_sizes(xi: float, r: int, rng: np.random.Generator) -> np
     if r < 0:
         raise ValueError("radius must be >= 0")
     q = xi / (1.0 - xi)
-    s = 1  # surviving vertices at the current height
-    d = 0  # free vertices at the current height
-    sizes = [1]
+    # scalars for one draw: numpy's array path costs ~40 us a call
+    s = 1 if size is None else np.ones(size, dtype=np.int64)  # surviving at this height
+    d = 0 * s  # free vertices at this height
+    sizes = [s + d]
     for _ in range(r):
-        s_next = s + int(rng.negative_binomial(s, q))
-        d_next = int(rng.negative_binomial(s + s_next + d, 1.0 - xi))
-        s, d = s_next, d_next
+        s_next = s + rng.negative_binomial(s, q)
+        d = rng.negative_binomial(s + s_next + d, 1.0 - xi)
+        s = s_next
         sizes.append(s + d)
-    return np.array(sizes, dtype=np.int64)
+    return np.array(sizes, dtype=np.int64).T

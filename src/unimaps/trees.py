@@ -259,8 +259,25 @@ def dyck_truncation_code(word, r: int) -> str:
         raise ValueError("radius must be >= 0")
     word = np.asarray(word)
     deeper = np.cumsum(word, dtype=np.int64) + (word < 0)
-    kept = word[deeper <= r]
-    return np.where(kept > 0, ord("("), ord(")")).astype(np.uint8).tobytes().decode("ascii")
+    return _code(word[deeper <= r])
+
+
+def dyck_forest_codes(word) -> list[str]:
+    """plane_code of each subtree of the root of a Dyck word, in order.
+
+    A forest drawn side by side, as `distributions` draws batches of
+    balls, is the Dyck word of a tree whose root has its trees as
+    subtrees; tree i spans the steps after the (i-1)-th return to depth 0
+    up to the i-th, less that outer pair.
+    """
+    word = np.asarray(word)
+    ends = np.flatnonzero(np.cumsum(word, dtype=np.int64) == 0).tolist()
+    code = _code(word)
+    return [code[start + 1:end] for start, end in zip([0] + [e + 1 for e in ends], ends)]
+
+
+def _code(word: np.ndarray) -> str:
+    return np.where(word > 0, ord("("), ord(")")).astype(np.uint8).tobytes().decode("ascii")
 
 
 def tree_from_parents(parent) -> PlaneTree:

@@ -33,7 +33,7 @@ from unimaps.experiments import (
 from unimaps.oracle import census, verify_surgery
 from unimaps.sampler import OddCyclePermutationSampler, sample_unicellular
 from unimaps.stats import chi_square_gof
-from unimaps.trees import dyck_truncation_code, enumerate_plane_trees, plane_code
+from unimaps.trees import dyck_forest_codes, enumerate_plane_trees, plane_code
 from unimaps.cli import main
 
 
@@ -141,8 +141,8 @@ def test_conditioned_tree_ball_law_is_self_consistent():
             rng = np.random.default_rng(seed)
             seed += 1
             counts = Counter()
-            for _ in range(samples):
-                counts[dyck_truncation_code(gw_inf_ball_sample(xi, r, rng), r)] += 1
+            for _ in range(samples // 2000):
+                counts.update(dyck_forest_codes(gw_inf_ball_sample(xi, r, rng, size=2000)))
             outcomes = _likely_ball_outcomes(xi, r, 50.0 / samples)
             assert outcomes
             assert sum(outcomes.values()) <= 1.0 + 1e-12

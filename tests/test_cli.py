@@ -1,14 +1,18 @@
 """End-to-end checks of the command line driver through main()."""
 
+import csv
+import io
 import json
+import math
 import sys
 
 import pytest
 
 from unimaps.asymptotics import regime
-from unimaps.cli import main
+from unimaps.cli import _gw_chunk, main
 from unimaps.counting import lehman_walsh_count
-from unimaps.distributions import root_degree_limit_pmf
+from unimaps.distributions import ball_probability_kd, root_degree_limit_pmf
+from unimaps.experiments import _height2_tree_count
 from unimaps.maps import RootedGraph
 
 
@@ -155,6 +159,63 @@ def test_gw_probabilities_form_distribution(capsys):
     probs = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
     assert all(p > 0 for p in probs)
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gw_batched_cells_match_ball_law(capsys):
+    # a (k, d) cell at r = 2 holds _height2_tree_count(k, d) plane balls,
+    # each of probability ball_probability_kd(xi, k, d)
+    draws = 20000
+    for xi, seed in ((0.1, 4), (0.3, 5)):
+        code, out, _ = run(capsys, ["gw", "--xi", str(xi), "--r", "2",
+                                    "--samples", str(draws), "--seed", str(seed)])
+        assert code == 0
+        observed = {}
+        for line in out.strip().splitlines()[1:]:
+            value, prob = line.split(",")
+            k, d = (int(part.split("=")[1]) for part in value.split())
+            observed[(k, d)] = float(prob)
+        assert all(1 <= d < k for k, d in observed)
+        cells = {(k, d): _height2_tree_count(k, d) * ball_probability_kd(xi, k, d)
+                 for k in range(2, 200) for d in range(1, k)}
+        for kd in sorted(cells, key=cells.get, reverse=True)[:15]:
+            se = math.sqrt(cells[kd] * (1 - cells[kd]) / draws)
+            assert abs(observed.get(kd, 0.0) - cells[kd]) < 4.5 * se, (xi, kd)
+
+
+def test_gw_chunks_by_expected_ball_size():
+    # a ball of about 1.2e5 vertices is drawn alone; small balls share a draw
+    assert _gw_chunk(0.02, 3) == 1
+    assert _gw_chunk(0.1, 2) >= 32
+
+
+@pytest.mark.parametrize("argv", [
+    ["gw", "--xi", "0.3", "--r", "1", "--samples", "0"],
+    ["gw", "--xi", "0.3", "--r", "1", "--samples", "-5"],
+    ["sample", "--n", "5", "--g", "1", "--samples", "-1"],
+    ["sample", "--n", "5", "--g", "1", "--samples", "0"],
+])
+def test_sample_count_below_one_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "need at least one sample" in err
+
+
+def test_degree_profile_ball_rows_carry_no_z(capsys):
+    code, out, _ = run(capsys, ["degree-profile", "--n", "200", "--g", "0",
+                                "--samples", "100"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(
+        "".join(line + "\n" for line in out.splitlines() if not line.startswith("#")))))
+    ball_rows = [row for row in rows if row["section"] == "ball_average"]
+    assert len(ball_rows) == 12
+    for row in ball_rows:
+        assert row["z"] == ""
+        assert float(row["std_err"]) > 0
+    assert [row["z"] for row in rows if row["section"] == "global"] == ["0.0"]
+    code, out, _ = run(capsys, ["degree-profile", "--n", "200", "--g", "0",
+                                "--samples", "100", "--r", "2", "--format", "json"])
+    assert [row["z"] for row in json.loads(out)["rows"]] == [0.0, None, None]
 
 
 def test_oracle_census_json(capsys):

@@ -1,5 +1,6 @@
 """Odd-valued step law, branching-tree ball laws, and their samplers."""
 
+import hashlib
 import math
 from collections import Counter
 
@@ -16,6 +17,7 @@ from unimaps.distributions import (
     gw_ball_sample,
     gw_inf_ball_sample,
     inf_ball_generation_sizes,
+    inf_ball_mean_size,
     root_degree_conv_pmf,
     root_degree_limit_pmf,
     root_degree_pmf_beta,
@@ -23,7 +25,14 @@ from unimaps.distributions import (
     x_beta_pmf,
     x_beta_sample,
 )
-from unimaps.trees import dyck_truncation_code, enumerate_plane_trees, parse_plane_code
+from unimaps.cli import _ball_kd
+from unimaps.trees import (
+    dyck_forest_codes,
+    enumerate_plane_trees,
+    parse_plane_code,
+)
+
+CHUNK = 2000  # balls per batched draw
 
 
 def test_x_beta_pmf_frozen_and_normalized():
@@ -121,15 +130,22 @@ def test_extinction_prob():
     assert extinction_prob(0.5) == 1.0
 
 
+def _heights(forest):
+    """Height of every ball of a forest word."""
+    depth = np.cumsum(forest)
+    ends = np.flatnonzero(depth == 0)
+    return np.maximum.reduceat(depth, np.r_[0, ends[:-1] + 1]) - 1
+
+
 def test_gw_ball_sampler_shapes():
     xi, r, draws = 0.4, 2, 20000
     rng = np.random.default_rng(11)
     counts = Counter()
-    for _ in range(draws):
-        word = gw_ball_sample(xi, r, rng)
-        assert np.cumsum(word).max(initial=0) <= r
-        counts[dyck_truncation_code(word, r)] += 1
-        assert np.cumsum(gw_inf_ball_sample(xi, r, rng)).max() == r
+    for _ in range(draws // CHUNK):
+        forest = gw_ball_sample(xi, r, rng, size=CHUNK)
+        assert _heights(forest).max() <= r
+        counts.update(dyck_forest_codes(forest))
+        assert np.all(_heights(gw_inf_ball_sample(xi, r, rng, size=CHUNK)) == r)
     probs = {code: gw_ball_probability(xi, parse_plane_code(code), r) for code in counts}
     for code in sorted(probs, key=probs.get, reverse=True)[:15]:
         se = math.sqrt(probs[code] * (1 - probs[code]) / draws)
@@ -140,13 +156,77 @@ def test_inf_ball_against_formula_small():
     r, draws = 1, 20000
     rng = np.random.default_rng(2)
     for xi in (0.3, 0.5):
-        counts = Counter(dyck_truncation_code(gw_inf_ball_sample(xi, r, rng), r)
-                         for _ in range(draws))
+        counts = Counter()
+        for _ in range(draws // CHUNK):
+            counts.update(dyck_forest_codes(gw_inf_ball_sample(xi, r, rng, size=CHUNK)))
         for d in range(1, 5):
             code = "()" * d
             prob = ball_probability_kd(xi, d, d)
             se = math.sqrt(prob * (1 - prob) / draws)
             assert abs(counts[code] / draws - prob) < 4.5 * se, (xi, code)
+
+
+def test_forest_word_splits_into_balls():
+    rng = np.random.default_rng(12)
+    r, balls = 2, 1000
+    for xi in (0.1, 0.3, 0.5):
+        forest = gw_inf_ball_sample(xi, r, rng, size=balls)
+        codes = dyck_forest_codes(forest)
+        assert len(codes) == balls
+        assert np.all(_heights(forest) == r)
+        k, d = _ball_kd(forest, r)
+        trees = [parse_plane_code(code) for code in codes]
+        assert k.tolist() == [t.n_edges for t in trees]
+        assert d.tolist() == [t.count_at_height(r) for t in trees]
+        if xi < 0.5:
+            forest = gw_ball_sample(xi, r, rng, size=balls)
+            assert len(dyck_forest_codes(forest)) == balls
+            assert _heights(forest).max() <= r
+    assert gw_inf_ball_sample(0.3, 2, rng, size=0).size == 0
+    assert dyck_forest_codes(gw_inf_ball_sample(0.3, 0, rng, size=3)) == ["", "", ""]
+    with pytest.raises(ValueError):
+        gw_inf_ball_sample(0.3, 2, rng, size=-1)
+
+
+def _digest(sampler, xi, r, seed, draws=50):
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for _ in range(draws):
+        h.update(np.asarray(sampler(xi, r, rng)).tobytes() + b"\0")
+    return h.hexdigest()[:16]
+
+
+def test_single_draws_keep_their_random_stream():
+    # digests of 50 successive single draws, recorded before the samplers
+    # drew balls as forests; size=None must draw exactly as it did then
+    want = {
+        (gw_inf_ball_sample, 0.1, 2, 1): "6049abfb0b8206bd",
+        (gw_inf_ball_sample, 0.3, 3, 2): "36627f703a925d29",
+        (gw_inf_ball_sample, 0.4, 0, 3): "cc2786e1f9910a9d",
+        (gw_inf_ball_sample, 0.45, 4, 4): "43a5c3228eae0cbb",
+        (gw_inf_ball_sample, 0.5, 3, 5): "205d65af2d4e0fbe",
+        (gw_ball_sample, 0.1, 2, 1): "3f2394a4d30083b8",
+        (gw_ball_sample, 0.3, 3, 2): "158d9196b3ab8c73",
+        (gw_ball_sample, 0.45, 4, 4): "55dbfff8f06cb5f4",
+        (inf_ball_generation_sizes, 0.1, 2, 1): "ab65d1400edf8b1c",
+        (inf_ball_generation_sizes, 0.45, 4, 4): "d2ac4c74cad78488",
+        (inf_ball_generation_sizes, 0.5, 3, 5): "f70314c6819b3750",
+    }
+    for (sampler, xi, r, seed), digest in want.items():
+        assert _digest(sampler, xi, r, seed) == digest, (sampler.__name__, xi, r)
+
+
+def test_mean_ball_size_matches_generation_sizes():
+    draws = 20000
+    rng = np.random.default_rng(13)
+    for xi, r in ((0.1, 2), (0.3, 3), (0.5, 4)):
+        gen = inf_ball_generation_sizes(xi, r, rng, size=draws)
+        assert gen.shape == (draws, r + 1)
+        assert np.all(gen[:, 0] == 1)
+        sizes = gen.sum(axis=1)
+        se = sizes.std() / math.sqrt(draws)
+        assert abs(sizes.mean() - inf_ball_mean_size(xi, r)) < 4.5 * se, (xi, r)
+    assert inf_ball_mean_size(0.3, 0) == 1.0
 
 
 def test_unconditioned_ball_probability():

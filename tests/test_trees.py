@@ -6,6 +6,7 @@ import pytest
 from unimaps.trees import (
     PlaneTree,
     catalan,
+    dyck_forest_codes,
     dyck_parents,
     dyck_truncation_code,
     enumerate_plane_trees,
@@ -106,3 +107,8 @@ def test_dyck_word_arrays_match_tuple_trees():
             assert depth.tolist() == reference.heights()
             for r in range(4):
                 assert dyck_truncation_code(word, r) == plane_code(tree.truncate(r))
+    # a forest word, the trees' words each wrapped in one pair, splits back
+    codes = [plane_code(t) for n in range(5) for t in enumerate_plane_trees(n)]
+    forest = "".join("(" + code + ")" for code in codes)
+    word = np.array([1 if c == "(" else -1 for c in forest], dtype=np.int8)
+    assert dyck_forest_codes(word) == codes
