@@ -36,9 +36,9 @@ for _ in range(draws):
     counts[root_degree(sample_unicellular(4, 1, rng))] += 1
 exact = exact_root_degree_dist(4, 1)
 print(f"\nroot degree at (n=4, g=1), {draws} draws:")
-for d in sorted(exact.probs):
+for d in sorted(exact):
     print(f"  degree {d}: observed {counts.get(d, 0) / draws:.4f}"
-          f"  exact {float(exact.probs[d]):.4f}")
+          f"  exact {float(exact[d]):.4f}")
 
 # at large n with g = n/4 the root degree approaches a universal law
 n, g, draws = 600, 150, 4000

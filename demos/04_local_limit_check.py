@@ -10,7 +10,7 @@ the packaged comparison and walks through its report.
 
 from unimaps.experiments import ExperimentConfig, run_local_limit
 
-cfg = ExperimentConfig(n=500, g=125, r=2, samples=2000, seed=7, workers=2)
+cfg = ExperimentConfig(n=500, g=125, samples=2000, seed=7, workers=2)
 report = run_local_limit(cfg, radii=(1, 2))
 
 # the report compares raw outcome frequencies against the limit ball

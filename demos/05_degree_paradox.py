@@ -18,8 +18,8 @@ reg = regime(theta)
 print(f"theta={theta}: global mean -> {2 / (1 - 2 * theta):.4f}, "
       f"ball average -> {2 / (1 - reg.beta):.4f}")
 
-cfg = ExperimentConfig(n=2000, g=500, r=10, samples=1500, seed=41, workers=2)
-report = degree_profile(cfg)
+cfg = ExperimentConfig(n=2000, g=500, samples=1500, seed=41, workers=2)
+report = degree_profile(cfg, r=10)
 
 row = report.section_rows("global")[0]
 print(f"\nglobal mean degree at (n={cfg.n}, g={cfg.g}): "

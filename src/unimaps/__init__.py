@@ -61,7 +61,7 @@ from .oracle import (
     exact_ball_dist,
     verify_surgery,
 )
-from .stats import DistTable, tv_distance, chi_square_gof
+from .stats import tv_distance, chi_square_gof
 from .experiments import (
     ExperimentConfig,
     ComparisonReport,

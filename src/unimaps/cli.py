@@ -214,11 +214,10 @@ def _cmd_verify_surgery(args) -> int:
     return 0 if all_equal else 1
 
 
-def _experiment_config(args, r: int | None = None) -> ExperimentConfig:
+def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig(
         n=args.n,
         g=args.g,
-        r=r if r is not None else args.r[0] if isinstance(args.r, list) else args.r,
         samples=args.samples,
         seed=args.seed,
         workers=args.workers,
@@ -226,7 +225,7 @@ def _experiment_config(args, r: int | None = None) -> ExperimentConfig:
 
 
 def _cmd_verify_local_limit(args) -> int:
-    cfg = _experiment_config(args, r=max(args.r))
+    cfg = _experiment_config(args)
     report = run_local_limit(
         cfg,
         radii=tuple(args.r),
@@ -247,7 +246,7 @@ def _cmd_root_degree_verify(args) -> int:
 
 def _cmd_degree_profile(args) -> int:
     cfg = _experiment_config(args)
-    report = degree_profile(cfg)
+    report = degree_profile(cfg, args.r)
     _write(args, report.render(args.format))
     return 0 if report.passed else 1
 
@@ -343,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--samples", type=int, default=10_000)
     pr.add_argument("--reference", choices=("limit", "exact"), default="limit")
     pr.add_argument("--tv-max", type=float, default=None)
-    pr.add_argument("--r", type=int, default=1, help=argparse.SUPPRESS)
     pr.set_defaults(func=_cmd_root_degree_verify)
     pv = verify_sub.add_parser("surgery", parents=[common], help="exhaustive count identity sweep;"
                                " CSV columns tree,n,g,k,d,r,lhs,rhs,equal")

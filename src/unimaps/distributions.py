@@ -22,17 +22,18 @@ gives exactly one surviving child, and given G1 + G2 - 1 children, with
 G1, G2 the two gaps plus one, the survivor's position G1 is uniform,
 which is the size-biased spine vertex with a uniform continuation.
 
-With size=B the ball samplers draw B independent balls in one call and
-return them as one forest word: the Dyck word of a tree whose root has
-the B balls as its subtrees, in draw order.  Every generation of all B
-balls costs one batch of numpy calls, so the fixed cost per call is
-shared.  `trees.dyck_forest_codes` splits the word, and cumsum over it
-gives every ball's depths at once.  size=None draws one ball with the
-same random draws as a forest of one.  A batch's memory grows with its
-vertex count, and the mean ball size (`inf_ball_mean_size`) spans orders
-of magnitude across xi and r, so callers size batches by a vertex
-budget rather than a ball count.  `inf_ball_generation_sizes` takes the
-same size argument.
+Every sampler here draws a batch: size is required and the result is an
+array.  `XBetaLaw.sample(rng, size)` returns size odd values.  The ball
+samplers draw size independent balls in one call and return them as one
+forest word: the Dyck word of a tree whose root has the balls as its
+subtrees, in draw order.  Every generation of all the balls costs one
+batch of numpy calls, so the fixed cost per call is shared.
+`trees.dyck_forest_codes` splits the word, and cumsum over it gives
+every ball's depths at once.  A batch's memory grows with its vertex
+count, and the mean ball size (`inf_ball_mean_size`) spans orders of
+magnitude across xi and r, so callers size batches by a vertex budget
+rather than a ball count.  `inf_ball_generation_sizes(xi, r, rng, size)`
+returns a (size, r + 1) array of generation sizes.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .trees import PlaneTree
 __all__ = [
     "XBetaLaw",
     "x_beta_pmf",
-    "x_beta_sample",
     "size_biased_cycle_pmf",
     "root_degree_pmf_beta",
     "root_degree_limit_pmf",
@@ -102,8 +102,8 @@ class XBetaLaw:
         values = np.arange(1, max(min(top, int(max_value)), 1) + 1, 2, dtype=np.float64)
         return np.cumsum(b ** values / (z * values))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw odd values exactly, with no table, for any beta < 1.
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw size odd values exactly, with no table, for any beta < 1.
 
         beta^k / k is the integral of t^(k-1) over [0, beta], so X is a
         mixture: T has density proportional to 1 / (1 - t^2) on [0, beta],
@@ -112,26 +112,16 @@ class XBetaLaw:
         t^(k-1) on each odd k.
         """
         if self.beta == 0.0:
-            if size is None:
-                return 1
             return np.ones(size, dtype=np.int64)
-        scalar = size is None
         # the clip keeps 1 - t^2 positive where tanh rounds up to 1
-        t = np.minimum(np.tanh(rng.random(1 if scalar else size) * self.z_beta), self.beta)
-        values = 2 * rng.geometric((1.0 - t) * (1.0 + t)) - 1
-        if scalar:
-            return int(values[0])
-        return values.astype(np.int64)
+        t = np.minimum(np.tanh(rng.random(size) * self.z_beta), self.beta)
+        return (2 * rng.geometric((1.0 - t) * (1.0 + t)) - 1).astype(np.int64)
 
 
 def x_beta_pmf(beta: float, value: int) -> float:
     """P(X = value) for the odd-length law; 0 on even or nonpositive input."""
     _check_beta(beta)
     return XBetaLaw(beta).pmf(value)
-
-
-def x_beta_sample(beta: float, rng: np.random.Generator, size=None):
-    return XBetaLaw(beta).sample(rng, size=size)
 
 
 def size_biased_cycle_pmf(beta: float, value: int) -> float:
@@ -203,21 +193,20 @@ def extinction_prob(xi: float) -> float:
 
 
 def _ball_word(r: int, p: float, q: float | None, rng: np.random.Generator,
-               size: int | None) -> np.ndarray:
+               size: int) -> np.ndarray:
     """Height-r balls of a branching tree grown by the gap rule of the
     module docstring, one generation per batch of draws for all of them.
 
     The balls grow side by side as a forest: the word starts as "()" once
     per ball and is the Dyck word of a tree whose root has the balls as
-    its subtrees, in draw order.  size None draws one ball and strips
-    that outer pair, which makes the same draws as a forest of one.
-    q None starts from free roots, so no vertex survives.  Each
-    generation's children enter the word as "()" pairs right after their
-    parent's up-step, which keeps the word in preorder.
+    its subtrees, in draw order.  q None starts from free roots, so no
+    vertex survives.  Each generation's children enter the word as "()"
+    pairs right after their parent's up-step, which keeps the word in
+    preorder.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
-    roots = 1 if size is None else int(size)
+    roots = int(size)
     if roots < 0:
         raise ValueError("size must be >= 0")
     word = np.tile(np.array([1, -1], dtype=np.int8), roots)
@@ -247,13 +236,13 @@ def _ball_word(r: int, p: float, q: float | None, rng: np.random.Generator,
         if q is not None:
             surviving = np.zeros(pos.size, dtype=bool)
             surviving[slots[sep] - 1] = True
-    return word[1:-1] if size is None else word
+    return word
 
 
 def gw_ball_sample(xi: float, r: int, rng: np.random.Generator,
-                   size: int | None = None) -> np.ndarray:
-    """Dyck word of the height-r truncation of the unconditioned tree T(xi),
-    or with size B the forest word of B independent ones (see _ball_word).
+                   size: int) -> np.ndarray:
+    """Forest word of size independent height-r truncations of the
+    unconditioned tree T(xi) (see _ball_word).
 
     Every vertex is free: one gap of Geometric(xi) - 1 children.  The tree
     may be infinite (xi < 1/2 is supercritical) but the truncation is
@@ -264,11 +253,11 @@ def gw_ball_sample(xi: float, r: int, rng: np.random.Generator,
 
 
 def gw_inf_ball_sample(xi: float, r: int, rng: np.random.Generator,
-                       size: int | None = None) -> np.ndarray:
-    """Dyck word of the radius-r ball of the survival-conditioned tree,
-    drawn exactly by the gap rule from a surviving root with
-    p = 1 - xi and q = xi / (1 - xi); with size B the forest word of B
-    independent balls, each a subtree of the word's root.
+                       size: int) -> np.ndarray:
+    """Forest word of size independent radius-r balls of the
+    survival-conditioned tree, each a subtree of the word's root, drawn
+    exactly by the gap rule from a surviving root with p = 1 - xi and
+    q = xi / (1 - xi).
 
     At xi = 1/2 this is the critical spine construction (see the module
     docstring), so no separate branch is needed.
@@ -333,10 +322,10 @@ def gw_ball_probability(xi: float, tree: PlaneTree, r: int) -> float:
 
 
 def inf_ball_generation_sizes(xi: float, r: int, rng: np.random.Generator,
-                              size: int | None = None) -> np.ndarray:
+                              size: int) -> np.ndarray:
     """Generation sizes Z_0..Z_r of the survival-conditioned tree, drawn
-    exactly but in aggregate, without materializing vertices; with size B
-    a (B, r + 1) array of B independent draws.
+    exactly but in aggregate, without materializing vertices, as a
+    (size, r + 1) array of independent draws.
 
     Sums of i.i.d. gap counts collapse into negative binomial draws, so
     one sample costs O(r) regardless of how large the generations get
@@ -347,9 +336,8 @@ def inf_ball_generation_sizes(xi: float, r: int, rng: np.random.Generator,
     if r < 0:
         raise ValueError("radius must be >= 0")
     q = xi / (1.0 - xi)
-    # scalars for one draw: numpy's array path costs ~40 us a call
-    s = 1 if size is None else np.ones(size, dtype=np.int64)  # surviving at this height
-    d = 0 * s  # free vertices at this height
+    s = np.ones(size, dtype=np.int64)  # surviving at this height
+    d = np.zeros(size, dtype=np.int64)  # free vertices at this height
     sizes = [s + d]
     for _ in range(r):
         s_next = s + rng.negative_binomial(s, q)

@@ -32,6 +32,7 @@ from .distributions import (
     ball_probability,
     ball_probability_kd,
     inf_ball_generation_sizes,
+    inf_ball_mean_size,
     root_degree_pmf_beta,
 )
 from .oracle import NON_TREE, exact_ball_dist, exact_root_degree_dist, exact_tree_ball_dist
@@ -49,16 +50,15 @@ class ExperimentConfig:
 
     n: int
     g: int
-    r: int = 1
     samples: int = 10_000
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("need at least one edge")
         if not (0 <= 2 * self.g <= self.n):
             raise ValueError("need 0 <= 2g <= n")
-        if self.r < 0:
-            raise ValueError("radius must be >= 0")
         if self.samples < 1:
             raise ValueError("need at least one sample")
         if self.workers < 1:
@@ -252,7 +252,7 @@ def _height2_tree_count(k: int, d: int) -> int:
     return math.comb(d + j - 1, j - 1)
 
 
-def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...] | None = None,
+def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
                     xi: float | None = None, z_max: float = 4.0,
                     min_expected: float = 50.0, top_m: int = 10) -> ComparisonReport:
     """Sampled radius-r balls against the limit ball law.
@@ -281,8 +281,6 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...] | None = None,
     theta-resolved limit parameter; xi=0.5 compares against the critical
     law, the stated limit when theta -> 0.
     """
-    if radii is None:
-        radii = (cfg.r,)
     if any(r < 1 for r in radii):
         raise ValueError("radii must be >= 1")
     if cfg.g == 0 and cfg.n <= 6:
@@ -388,11 +386,11 @@ def _exact_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...]) -> Compari
     for r in radii:
         by_map = exact_ball_dist(cfg.n, 0, r)
         by_tree = exact_tree_ball_dist(cfg.n, r)
-        equal = by_map.probs == by_tree.probs
+        equal = by_map == by_tree
         passed = passed and equal
-        for code in sorted(by_tree.probs):
-            p_map = float(by_map.probs.get(code, 0))
-            p_tree = float(by_tree.probs[code])
+        for code in sorted(by_tree):
+            p_map = float(by_map.get(code, 0))
+            p_tree = float(by_tree[code])
             rows.append(ReportRow(f"exact_r{r}", code, p_map, p_tree, 0.0, 0.0))
         tv.append((f"exact_r{r}", tv_distance(by_map, by_tree)))
     params = (("n", cfg.n), ("g", cfg.g), ("radii", ",".join(map(str, radii))),
@@ -415,6 +413,10 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
     """
     if reference not in ("limit", "exact"):
         raise ValueError("reference must be limit or exact")
+    if reference == "exact":
+        # before sampling: the enumeration refuses n past its cap at once
+        probs = {d: float(p)
+                 for d, p in sorted(exact_root_degree_dist(cfg.n, cfg.g).items())}
     beta, xi_val, z_beta = _resolve_constants(cfg.theta, None)
 
     def worker(rng, count):
@@ -424,12 +426,8 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
         return {"deg": degrees}
 
     degrees = _fanout(cfg, worker)["deg"]
-    d_max = max(degrees)
     if reference == "limit":
-        probs = {d: root_degree_pmf_beta(beta, d) for d in range(1, d_max + 1)}
-    else:
-        exact = exact_root_degree_dist(cfg.n, cfg.g)
-        probs = {d: float(p) for d, p in sorted(exact.probs.items())}
+        probs = {d: root_degree_pmf_beta(beta, d) for d in range(1, max(degrees) + 1)}
     rows = []
     passed = True
     for d in sorted(set(degrees) | set(probs)):
@@ -451,33 +449,44 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
                             passed, ("root_degree",))
 
 
-def degree_profile(cfg: ExperimentConfig, rel_tol: float = 0.1) -> ComparisonReport:
+# bound on the mean ball size degree_profile draws: generation sizes are
+# int64, and a run's largest draws exceed the mean by orders of magnitude
+MAX_MEAN_BALL_SIZE = 2.0 ** 60
+
+
+def degree_profile(cfg: ExperimentConfig, r: int,
+                   rel_tol: float = 0.1) -> ComparisonReport:
     """Global mean degree identity next to the local ball average.
 
     The global mean is 2n over the vertex count, an exact identity with
     limit 2/(1-2 theta).  The local figure averages degrees over the
     radius-r ball of the survival-conditioned limit tree and approaches
     the strictly larger 2/(1-beta); the gap is the size bias of balls.
-    Rows cover every radius up to cfg.r; the pass flag checks the last
-    radius against the limit within rel_tol.
+    Rows cover every radius up to r; the pass flag checks the last
+    radius against the limit within rel_tol.  The draw reaches radius
+    r + 1, whose mean ball size must stay within MAX_MEAN_BALL_SIZE.
     """
+    if r < 0:
+        raise ValueError("radius must be >= 0")
     beta, xi_val, z_beta = _resolve_constants(cfg.theta, None)
+    if inf_ball_mean_size(xi_val, r + 1) > MAX_MEAN_BALL_SIZE:
+        raise ValueError(f"radius {r} too large: the mean ball of radius {r + 1}"
+                         f" exceeds 2^60 vertices, and generation sizes are int64")
     local_limit = 2.0 / (1.0 - beta) if beta < 1 else math.inf
-    r_top = cfg.r
 
     # draws per call, so that the (draws, r + 2) arrays stay near half a megabyte
-    per_call = max(1, (1 << 16) // (r_top + 2))
+    per_call = max(1, (1 << 16) // (r + 2))
 
     def worker(rng, count):
         sums: Counter = Counter()
         for start in range(0, count, per_call):
-            gen = inf_ball_generation_sizes(xi_val, r_top + 1, rng,
+            gen = inf_ball_generation_sizes(xi_val, r + 1, rng,
                                             size=min(per_call, count - start))
-            v = np.cumsum(gen, axis=1)[:, 1:r_top + 1].astype(np.float64)
-            avg = (2.0 * (v - 1.0) + gen[:, 2:]) / v  # column r - 1 holds radius r
-            for r in range(1, r_top + 1):
-                sums[("sum", r)] += float(avg[:, r - 1].sum())
-                sums[("sumsq", r)] += float(np.square(avg[:, r - 1]).sum())
+            v = np.cumsum(gen, axis=1)[:, 1:r + 1].astype(np.float64)
+            avg = (2.0 * (v - 1.0) + gen[:, 2:]) / v  # column h - 1 holds radius h
+            for h in range(1, r + 1):
+                sums[("sum", h)] += float(avg[:, h - 1].sum())
+                sums[("sumsq", h)] += float(np.square(avg[:, h - 1]).sum())
         return {"acc": sums}
 
     acc = _fanout(cfg, worker)["acc"]
@@ -487,16 +496,16 @@ def degree_profile(cfg: ExperimentConfig, rel_tol: float = 0.1) -> ComparisonRep
     rows.append(ReportRow("global", "mean_degree", global_mean,
                           2.0 / (1.0 - 2.0 * cfg.theta), 0.0, 0.0))
     passed = True
-    for r in range(1, r_top + 1):
-        mean = acc[("sum", r)] / n_samples
-        var = max(acc[("sumsq", r)] / n_samples - mean * mean, 0.0)
+    for h in range(1, r + 1):
+        mean = acc[("sum", h)] / n_samples
+        var = max(acc[("sumsq", h)] / n_samples - mean * mean, 0.0)
         se = math.sqrt(var / n_samples)
         # no z: the gap to the limit is the ball average's finite-r bias,
         # which outgrows sampling error, so only rel_tol scores it
-        rows.append(ReportRow("ball_average", f"r={r}", mean, local_limit, se, None))
-        if r == r_top and abs(mean / local_limit - 1.0) > rel_tol:
+        rows.append(ReportRow("ball_average", f"r={h}", mean, local_limit, se, None))
+        if h == r and abs(mean / local_limit - 1.0) > rel_tol:
             passed = False
-    params = (("n", cfg.n), ("g", cfg.g), ("r", cfg.r), ("samples", cfg.samples),
+    params = (("n", cfg.n), ("g", cfg.g), ("r", r), ("samples", cfg.samples),
               ("seed", cfg.seed), ("workers", cfg.workers))
     constants = (("beta", beta), ("xi", xi_val), ("z_beta", z_beta),
                  ("build", build_id()))

@@ -113,24 +113,6 @@ class RotationMap:
         rv = owner[self.root_dart]
         return sum(1 for d in range(len(self.sigma)) if owner[d] == rv)
 
-    def underlying_graph(self) -> "RootedGraph":
-        owner = self.vertex_of_dart()
-        nv = max(owner) + 1
-        # edges are the alpha orbits, numbered by their smaller dart
-        edge_of_dart = [-1] * len(self.alpha)
-        edges = []
-        for d, a in enumerate(self.alpha):
-            if d < a:
-                edge_of_dart[d] = edge_of_dart[a] = len(edges)
-                edges.append((owner[d], owner[a]))
-        root_vertex = owner[self.root_dart]
-        root_edge = edge_of_dart[self.root_dart]
-        # orient the root edge away from the root vertex
-        u, v = edges[root_edge]
-        if u != root_vertex:
-            edges[root_edge] = (v, u)
-        return RootedGraph(nv, tuple(edges), root_vertex, root_edge)
-
 
 def faces_and_genus(alpha, sigma) -> tuple[int, int]:
     """Face count and genus of the map (alpha, sigma).
@@ -186,15 +168,6 @@ class RootedGraph:
     def _component(self) -> "Ball":
         return self.adjacency.ball(self.root_vertex, self.n_vertices)
 
-    def distances(self, max_r: Optional[int] = None) -> list[int]:
-        """BFS distance from the root vertex; -1 beyond max_r or unreachable."""
-        r = self.n_vertices if max_r is None else max_r  # no distance reaches n_vertices
-        ball = self.adjacency.ball(self.root_vertex, r)
-        dist = [-1] * self.n_vertices
-        for v, d in zip(ball.vertices, ball.dist):
-            dist[v] = d
-        return dist
-
     def is_tree(self) -> bool:
         if len(self.edges) != self.n_vertices - 1:
             return False
@@ -244,8 +217,8 @@ class Adjacency:
 
     The edge ends at v are the entries start[v]:start[v+1] of nbr (the
     other endpoint) and eid (the edge index); a loop sits at its vertex
-    twice.  This is the one ball implementation: RootedGraph distances,
-    trees and balls and the sampler's balls all run ball().
+    twice.  This is the one ball implementation: RootedGraph trees and
+    balls and the sampler's balls all run ball().
     """
 
     __slots__ = ("start", "nbr", "eid")
@@ -369,9 +342,21 @@ def rotation_ball_code(m: RotationMap, r: int) -> tuple[bool, Optional[str]]:
         raise ValueError("radius must be >= 0")
     if r == 0:
         return True, ""
+    # BFS over darts, kept apart from Adjacency.ball, which this checks:
+    # a vertex is a sigma cycle and alpha leads to the next vertex
+    cycles = m.vertex_cycles()
     owner = m.vertex_of_dart()
-    graph = m.underlying_graph()
-    dist = graph.distances(max_r=r)
+    dist = [-1] * len(cycles)
+    dist[owner[m.root_dart]] = 0
+    queue = [owner[m.root_dart]]
+    for v in queue:
+        if dist[v] == r:
+            break
+        for d in cycles[v]:
+            w = owner[m.alpha[d]]
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
     # edges are the alpha orbits; one is kept when an endpoint is strictly
     # inside the ball
     nd = len(m.alpha)
@@ -395,7 +380,7 @@ def rotation_ball_code(m: RotationMap, r: int) -> tuple[bool, Optional[str]]:
         return False, None
     # restrict sigma to kept darts within each vertex cycle
     sigma_ball = {}
-    for cyc in m.vertex_cycles():
+    for cyc in cycles:
         kept = [d for d in cyc if kept_dart[d]]
         for j, d in enumerate(kept):
             sigma_ball[d] = kept[(j + 1) % len(kept)]

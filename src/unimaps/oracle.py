@@ -21,7 +21,6 @@ from typing import Iterator, Optional
 
 from .counting import double_factorial
 from .maps import RotationMap, rotation_ball_code, unfolding_ball_code
-from .stats import DistTable
 from .trees import PlaneTree, catalan, enumerate_plane_trees, plane_code
 
 __all__ = [
@@ -158,26 +157,25 @@ def _unfolding_stats(n: int, r: int) -> tuple[tuple[int, str], ...]:
     return tuple(out)
 
 
-def _genus_total(n: int, g: int) -> int:
-    total = sum(1 for gg, _ in _root_degree_stats(n) if gg == g)
-    if total == 0:
-        raise ValueError(f"no maps with n={n}, g={g}")
-    return total
+def _normalised(counts: Counter) -> dict:
+    """{outcome: Fraction} of a nonempty count table."""
+    total = sum(counts.values())
+    return {k: Fraction(v, total) for k, v in counts.items()}
 
 
-def exact_root_degree_dist(n: int, g: int) -> DistTable:
-    """Exact root-degree law of the uniform one-face map, as Fractions."""
+def exact_root_degree_dist(n: int, g: int) -> dict:
+    """Exact root-degree law of the uniform one-face map, {degree: Fraction}."""
     counts: Counter = Counter()
     for gg, deg in _root_degree_stats(n):
         if gg == g:
             counts[deg] += 1
     if not counts:
         raise ValueError(f"no maps with n={n}, g={g}")
-    return DistTable.from_counts(dict(counts))
+    return _normalised(counts)
 
 
-def exact_ball_dist(n: int, g: int, r: int) -> DistTable:
-    """Exact law of the radius-r ball read as a plane code.
+def exact_ball_dist(n: int, g: int, r: int) -> dict:
+    """Exact law of the radius-r ball read as a plane code, {code: Fraction}.
 
     Tree balls appear under their contour code; balls containing a cycle
     are pooled under NON_TREE.
@@ -188,10 +186,10 @@ def exact_ball_dist(n: int, g: int, r: int) -> DistTable:
             counts[code if code is not None else NON_TREE] += 1
     if not counts:
         raise ValueError(f"no maps with n={n}, g={g}")
-    return DistTable.from_counts(dict(counts))
+    return _normalised(counts)
 
 
-def exact_tree_ball_dist(n: int, r: int) -> DistTable:
+def exact_tree_ball_dist(n: int, r: int) -> dict:
     """Law of the height-r truncation of a uniform plane tree with n edges.
 
     The genus-0 ball law, computed on the tree side; exact_ball_dist(n, 0, r)
@@ -200,9 +198,8 @@ def exact_tree_ball_dist(n: int, r: int) -> DistTable:
     counts: Counter = Counter()
     for t in enumerate_plane_trees(n):
         counts[plane_code(t.truncate(r))] += 1
-    total = catalan(n)
-    assert sum(counts.values()) == total
-    return DistTable({k: Fraction(v, total) for k, v in counts.items()}, total)
+    assert sum(counts.values()) == catalan(n)
+    return _normalised(counts)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .trees import (
     dyck_parents,
     dyck_truncation_code,
     parent_unordered_code,
-    parse_plane_code,
     sample_dyck_word,
     tree_from_parents,
 )
@@ -190,14 +189,13 @@ class BallShape:
     is_tree: bool
     plane_code: str | None
     unordered_code: str | None
-    merged: bool
     n_vertices: int
     n_nonfixed: int
     height: int
 
     @property
-    def plane(self) -> PlaneTree | None:
-        return None if self.plane_code is None else parse_plane_code(self.plane_code)
+    def merged(self) -> bool:
+        return self.n_nonfixed > 0
 
 
 class _SizeLaw:
@@ -376,7 +374,7 @@ def ball_as_tree(sample: UnicellularSample, r: int) -> BallShape:
     n_nonfixed = int(np.count_nonzero(~sample.fixed_point_mask[ball.vertices]))
     nv = len(ball.vertices)
     if not ball.is_tree:
-        return BallShape(False, None, None, n_nonfixed > 0, nv, n_nonfixed, ball.height)
+        return BallShape(False, None, None, nv, n_nonfixed, ball.height)
     plane = dyck_truncation_code(sample.source.word, r) if n_nonfixed == 0 else None
-    return BallShape(True, plane, parent_unordered_code(ball.parent), n_nonfixed > 0,
-                     nv, n_nonfixed, ball.height)
+    return BallShape(True, plane, parent_unordered_code(ball.parent), nv, n_nonfixed,
+                     ball.height)

@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Hashable, Mapping
+from typing import Mapping
 
 __all__ = [
     "OTHER",
-    "DistTable",
     "tv_distance",
     "ChiSquareResult",
     "chi_square_gof",
@@ -23,38 +21,7 @@ __all__ = [
 OTHER = "!other"
 
 
-@dataclass(frozen=True)
-class DistTable:
-    """Probability table over arbitrary hashable outcomes.
-
-    probs may be Fractions (exact enumeration) or floats (limit laws,
-    empirical frequencies).  n_samples is set for empirical tables.
-    """
-
-    probs: dict
-    n_samples: int | None = None
-
-    def __post_init__(self):
-        for v in self.probs.values():
-            if v < 0:
-                raise ValueError("negative probability")
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[Hashable, int], n_samples: int | None = None):
-        total = n_samples if n_samples is not None else sum(counts.values())
-        if total <= 0:
-            raise ValueError("empty count table")
-        return cls({k: Fraction(v, total) for k, v in counts.items()}, total)
-
-    def __getitem__(self, key) -> float:
-        return self.probs.get(key, 0)
-
-
-def _probs(table) -> Mapping:
-    return table.probs if isinstance(table, DistTable) else table
-
-
-def tv_distance(p, q) -> float:
+def tv_distance(p: Mapping, q: Mapping) -> float:
     """Total variation (1/2) sum |p - q|, with each table's missing mass
     treated as a private residual outcome.
 
@@ -64,7 +31,6 @@ def tv_distance(p, q) -> float:
     past one (rounding, or overlapping masses) has no leftover, so
     d(p, p) == 0 for every table.
     """
-    p, q = _probs(p), _probs(q)
     diffs = []
     for k in set(p) | set(q):
         pv, qv = float(p.get(k, 0)), float(q.get(k, 0))
@@ -97,7 +63,6 @@ def chi_square_gof(counts: Mapping, probs: Mapping, n_samples: int,
     # package and roughly triples its memory, and no CLI path needs it
     from scipy import stats as sps
 
-    probs = _probs(probs)
     kept = {k: float(p) for k, p in probs.items()
             if float(p) * n_samples >= min_expected}
     other_p = 1.0 - sum(kept.values())

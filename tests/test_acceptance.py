@@ -79,7 +79,7 @@ def test_asymptotic_formula_tracks_exact_counts():
 
 
 def test_sampled_root_degree_matches_predicted_laws():
-    cfg = ExperimentConfig(n=2000, g=500, r=1, samples=10_000, seed=11,
+    cfg = ExperimentConfig(n=2000, g=500, samples=10_000, seed=11,
                            workers=4)
     report = run_root_degree(cfg, reference="limit", tv_max=0.05)
     assert report.passed
@@ -88,7 +88,7 @@ def test_sampled_root_degree_matches_predicted_laws():
         if int(row.outcome) <= 8 and row.expected > 0:
             assert abs(row.z) <= 4.0
 
-    small = ExperimentConfig(n=4, g=1, r=1, samples=100_000, seed=17,
+    small = ExperimentConfig(n=4, g=1, samples=100_000, seed=17,
                              workers=4)
     exact_report = run_root_degree(small, reference="exact", tv_max=0.01)
     assert exact_report.passed
@@ -166,7 +166,7 @@ def _scored_head_within_z(report, z_max=4.0, min_expected=50.0, top_m=10):
 
 
 def test_ball_frequencies_converge_to_limit_law():
-    cfg = ExperimentConfig(n=2000, g=500, r=2, samples=10_000,
+    cfg = ExperimentConfig(n=2000, g=500, samples=10_000,
                            seed=20260822, workers=4)
     report = run_local_limit(cfg, radii=(1, 2))
     assert report.passed
@@ -180,7 +180,7 @@ def test_ball_frequencies_converge_to_limit_law():
     assert report.mass("nontree_r2") < 1.0
 
     def nontree_mass(n, g, seed):
-        sub = ExperimentConfig(n=n, g=g, r=2, samples=3000, seed=seed,
+        sub = ExperimentConfig(n=n, g=g, samples=3000, seed=seed,
                                workers=4)
         return run_local_limit(sub, radii=(2,)).mass("nontree_r2")
 
@@ -189,7 +189,7 @@ def test_ball_frequencies_converge_to_limit_law():
 
 
 def test_near_planar_maps_match_critical_ball_law():
-    cfg = ExperimentConfig(n=2000, g=3, r=2, samples=10_000, seed=4242,
+    cfg = ExperimentConfig(n=2000, g=3, samples=10_000, seed=4242,
                            workers=4)
     report = run_local_limit(cfg, radii=(1, 2), xi=0.5)
     assert report.passed
@@ -242,9 +242,9 @@ def test_mean_degree_identity_and_ball_average_bias():
         assert len(degrees) == n + 1 - 2 * g
         assert sum(degrees.values()) == 2 * n
 
-    cfg = ExperimentConfig(n=2000, g=500, r=12, samples=2000, seed=23,
+    cfg = ExperimentConfig(n=2000, g=500, samples=2000, seed=23,
                            workers=4)
-    report = degree_profile(cfg)
+    report = degree_profile(cfg, r=12)
     assert report.passed
     global_row = report.section_rows("global")[0]
     assert global_row.observed == 2.0 * 2000 / (2000 + 1 - 2 * 500)
@@ -259,13 +259,13 @@ def test_mean_degree_identity_and_ball_average_bias():
 
 
 def test_identical_config_reproduces_identical_reports(tmp_path, capsys):
-    cfg = ExperimentConfig(n=40, g=5, r=2, samples=400, seed=2024, workers=3)
+    cfg = ExperimentConfig(n=40, g=5, samples=400, seed=2024, workers=3)
     first = run_local_limit(cfg, radii=(1, 2))
     second = run_local_limit(cfg, radii=(1, 2))
     assert first.to_csv() == second.to_csv()
     assert first.to_json() == second.to_json()
 
-    deg_cfg = ExperimentConfig(n=60, g=10, r=1, samples=500, seed=3,
+    deg_cfg = ExperimentConfig(n=60, g=10, samples=500, seed=3,
                                workers=2)
     assert (run_root_degree(deg_cfg).to_csv()
             == run_root_degree(deg_cfg).to_csv())

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line driver through main()."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unimaps.asymptotics import regime
 from unimaps.cli import _gw_chunk, main
@@ -216,6 +218,77 @@ def test_degree_profile_ball_rows_carry_no_z(capsys):
     code, out, _ = run(capsys, ["degree-profile", "--n", "200", "--g", "0",
                                 "--samples", "100", "--r", "2", "--format", "json"])
     assert [row["z"] for row in json.loads(out)["rows"]] == [0.0, None, None]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "root-degree", "--n", "0", "--g", "0"],
+    ["degree-profile", "--n", "0", "--g", "0", "--r", "1"],
+])
+def test_no_edges_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "need at least one edge" in err
+
+
+def test_exact_reference_cap_is_checked_before_sampling(capsys, monkeypatch):
+    import unimaps.experiments
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the enumeration cap")
+
+    monkeypatch.setattr(unimaps.experiments, "sample_unicellular", no_sampling)
+    code, out, err = run(capsys, ["verify", "root-degree", "--n", "2000", "--g", "500",
+                                  "--samples", "3000", "--reference", "exact"])
+    assert code == 2
+    assert out == ""
+    assert "capped at n=8" in err
+
+
+def test_degree_profile_radius_stays_within_int64(capsys):
+    # the mean radius-19 ball at theta = 1/4 passes 2^60 vertices; the
+    # largest of 2000 draws came within 5% of int64's range
+    code, out, _ = run(capsys, ["degree-profile", "--n", "2000", "--g", "500",
+                                "--r", "17", "--samples", "200"])
+    assert code == 0
+    assert "ball_average,r=17," in out
+    code, out, err = run(capsys, ["degree-profile", "--n", "2000", "--g", "500",
+                                  "--r", "18"])
+    assert code == 2
+    assert out == ""
+    assert "2^60" in err
+
+
+# every subcommand, its integers filled in from one small (n, g, r, samples)
+COMMANDS = [
+    ["count", "--n", "{n}", "--g", "{g}"],
+    ["count", "--n", "{n}", "--asymptotic"],
+    ["beta", "--theta", "{x}"],
+    ["root-degree", "--theta", "{x}", "--dmax", "{r}"],
+    ["sample", "--n", "{n}", "--g", "{g}", "--samples", "{k}", "--emit-cdt"],
+    ["gw", "--xi", "{x}", "--r", "{r}", "--samples", "{k}"],
+    ["oracle", "census", "--n", "{n}"],
+    ["oracle", "surgery", "--n", "{n}", "--g", "{g}", "--tree", "{tree}"],
+    ["verify", "local-limit", "--n", "{n}", "--g", "{g}", "--r", "{r}", "--samples", "{k}"],
+    ["verify", "root-degree", "--n", "{n}", "--g", "{g}", "--samples", "{k}"],
+    ["verify", "root-degree", "--n", "{n}", "--g", "{g}", "--samples", "{k}",
+     "--reference", "exact"],
+    ["verify", "surgery", "--nmax", "{n}", "--kmax", "{r}"],
+    ["degree-profile", "--n", "{n}", "--g", "{g}", "--r", "{r}", "--samples", "{k}"],
+]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(n=st.integers(-1, 6), g=st.integers(-1, 4), r=st.integers(-1, 3),
+       k=st.integers(-1, 4), x=st.sampled_from([-0.1, 0.0, 0.1, 0.3, 0.5, 0.7]))
+def test_every_subcommand_exits_zero_one_or_two(n, g, r, k, x):
+    fields = {"n": n, "g": g, "r": r, "k": k, "x": x, "tree": "(" * r + ")" * r}
+    for command in COMMANDS:
+        argv = [part.format(**fields) for part in command]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
 
 
 def test_oracle_census_json(capsys):

@@ -25,6 +25,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n=4, g=3)
     with pytest.raises(ValueError):
+        ExperimentConfig(n=0, g=0)
+    with pytest.raises(ValueError):
         ExperimentConfig(n=4, g=1, samples=0)
     with pytest.raises(ValueError):
         ExperimentConfig(n=4, g=1, seed=-1)
@@ -56,7 +58,7 @@ def test_exact_small_mode():
 
 def test_report_headers_and_formats():
     cfg = ExperimentConfig(n=5, g=0)
-    report = run_local_limit(cfg)
+    report = run_local_limit(cfg, radii=(1,))
     constants = dict(report.constants)
     assert {"beta", "xi", "z_beta", "build"} <= set(constants)
     assert constants["build"] == build_id()
@@ -120,8 +122,8 @@ def test_root_degree_rejects_bad_reference():
 
 
 def test_degree_profile_identity_and_convergence():
-    cfg = ExperimentConfig(n=2000, g=500, r=12, samples=300, seed=23)
-    report = degree_profile(cfg)
+    cfg = ExperimentConfig(n=2000, g=500, samples=300, seed=23)
+    report = degree_profile(cfg, r=12)
     glob = report.section_rows("global")[0]
     assert glob.observed == pytest.approx(2 * 2000 / 1001)
     assert glob.expected == pytest.approx(4.0)
@@ -132,7 +134,7 @@ def test_degree_profile_identity_and_convergence():
 
 def test_report_accessors_raise_on_unknown():
     cfg = ExperimentConfig(n=5, g=0)
-    report = run_local_limit(cfg)
+    report = run_local_limit(cfg, radii=(1,))
     assert isinstance(report, ComparisonReport)
     with pytest.raises(KeyError):
         report.mass("missing")

@@ -29,24 +29,24 @@ def test_census_cap():
 
 
 def test_root_degree_three_edges_planar():
-    probs = exact_root_degree_dist(3, 0).probs
+    probs = exact_root_degree_dist(3, 0)
     assert probs == {1: Fraction(2, 5), 2: Fraction(2, 5), 3: Fraction(1, 5)}
 
 
 def test_root_degree_sums_to_one():
     for n, g in [(3, 1), (4, 1), (4, 2)]:
-        probs = exact_root_degree_dist(n, g).probs
+        probs = exact_root_degree_dist(n, g)
         assert sum(probs.values()) == 1
 
 
 def test_planar_balls_equal_truncated_trees():
     for n in range(2, 6):
         for r in (1, 2):
-            assert exact_ball_dist(n, 0, r).probs == exact_tree_ball_dist(n, r).probs
+            assert exact_ball_dist(n, 0, r) == exact_tree_ball_dist(n, r)
 
 
 def test_torus_ball_table():
-    probs = exact_ball_dist(3, 1, 1).probs
+    probs = exact_ball_dist(3, 1, 1)
     assert probs == {NON_TREE: Fraction(9, 10), "()": Fraction(1, 10)}
 
 

@@ -17,7 +17,7 @@ from unimaps.sampler import (
     sample_unicellular,
 )
 from unimaps.stats import chi_square_gof
-from unimaps.trees import plane_code
+from unimaps.trees import parse_plane_code, plane_code
 
 
 def test_permutation_sampler_cycle_types():
@@ -75,8 +75,8 @@ def test_planar_balls_are_clean_trees():
         shape = ball_as_tree(s, 2)
         assert shape.is_tree
         assert not shape.merged
-        assert shape.plane is not None
-        assert shape.plane.height() <= 2
+        assert shape.plane_code is not None
+        assert parse_plane_code(shape.plane_code).height() <= 2
         assert shape.n_nonfixed == 0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from unimaps.stats import DistTable, chi_square_gof, tv_distance
+from unimaps.stats import chi_square_gof, tv_distance
 
 
 def test_tv_trivial_cases():
@@ -21,14 +21,6 @@ def test_tv_residual_mass():
 def test_tv_rejects_negative():
     with pytest.raises(ValueError):
         tv_distance({"a": -0.1, "b": 1.1}, {"a": 1.0})
-
-
-def test_dist_table_from_counts():
-    table = DistTable.from_counts({"x": 3, "y": 1})
-    assert float(table.probs["x"]) == pytest.approx(0.75)
-    assert table.n_samples == 4
-    with pytest.raises(ValueError):
-        DistTable({"x": -0.5})
 
 
 def test_chi_square_identity_fit():
