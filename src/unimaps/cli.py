@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import log_asymptotic_count, ratio_to_exact, regime
+from .asymptotics import log_asymptotic_count, ratio_to_exact, regime, solve_beta_theta
 from .counting import lehman_walsh_count
-from .distributions import gw_inf_ball_sample, inf_ball_mean_size, root_degree_limit_pmf
+from .distributions import inf_ball_generation_chunks, root_degree_pmf_beta
 from .experiments import (
     ExperimentConfig,
     degree_profile,
@@ -28,12 +28,6 @@ from .experiments import (
 from .oracle import census, verify_surgery
 from .sampler import sample_unicellular
 from .trees import enumerate_plane_trees, parse_plane_code, plane_code
-
-
-# vertices one gw chunk holds on average: enough small balls to share the
-# fixed numpy cost of each generation, few enough that the forest's
-# temporaries stay well under a megabyte; a larger ball is drawn alone
-GW_CHUNK_VERTICES = 1 << 13
 
 
 def _write(args, text: str) -> None:
@@ -98,7 +92,8 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_root_degree(args) -> int:
-    rows = [[d, root_degree_limit_pmf(args.theta, d)] for d in range(1, args.dmax + 1)]
+    beta = solve_beta_theta(args.theta)
+    rows = [[d, root_degree_pmf_beta(beta, d)] for d in range(1, args.dmax + 1)]
     _rows_out(args, ["value", "probability"], rows)
     return 0
 
@@ -133,34 +128,14 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _gw_chunk(xi: float, r: int) -> int:
-    """Balls per gw draw: as many as GW_CHUNK_VERTICES holds on average."""
-    return max(1, int(GW_CHUNK_VERTICES // inf_ball_mean_size(xi, r)))
-
-
-def _ball_kd(forest: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edges k and depth-r vertices d of every ball of a forest word."""
-    # a ball ends where the word returns to depth 0; its depth-r vertices
-    # are opened by the steps reaching the forest's deepest level r + 1.
-    # Depths stay within 0..r + 1, so int8 keeps this pass a byte a step.
-    depth = np.cumsum(forest, dtype=np.int8 if r < 127 else np.int64)
-    ends = np.flatnonzero(depth == 0)
-    deep = depth == r + 1
-    k = np.diff(ends, prepend=-1) // 2 - 1
-    return k, np.add.reduceat(deep, ends - 2 * k - 1, dtype=np.int64)
-
-
 def _cmd_gw(args) -> int:
     _check_samples(args)
     rng = np.random.default_rng(args.seed)
-    chunk = _gw_chunk(args.xi, args.r)
     counts: Counter = Counter()
-    for start in range(0, args.samples, chunk):
-        # no forest outlives its chunk, so a large ball never waits in
-        # memory while the next one grows
-        k, d = _ball_kd(gw_inf_ball_sample(args.xi, args.r, rng,
-                                           size=min(chunk, args.samples - start)), args.r)
-        counts.update(zip(k.tolist(), d.tolist()))
+    # a ball's law depends only on its edges k = Z_1 + ... + Z_r and its
+    # depth-r vertices d = Z_r, so generation sizes are all gw draws
+    for gen in inf_ball_generation_chunks(args.xi, args.r, rng, args.samples):
+        counts.update(zip(gen[:, 1:].sum(axis=1).tolist(), gen[:, -1].tolist()))
     rows = sorted([f"k={k} d={d}", c / args.samples] for (k, d), c in counts.items())
     _rows_out(args, ["value", "probability"], rows)
     return 0
@@ -251,8 +226,16 @@ def _cmd_degree_profile(args) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Full option names only, in every subparser too (add_subparsers
+    reuses the class): a prefix could change meaning as options are added."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unimaps",
         description="One-face maps: exact counts and uniform samples, with limit checks.",
     )
@@ -265,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # top-level value unless the subcommand position actually sets one
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--workers", type=int, default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("csv", "json"),

@@ -29,16 +29,20 @@ forest word: the Dyck word of a tree whose root has the balls as its
 subtrees, in draw order.  Every generation of all the balls costs one
 batch of numpy calls, so the fixed cost per call is shared.
 `trees.dyck_forest_codes` splits the word, and cumsum over it gives
-every ball's depths at once.  A batch's memory grows with its vertex
-count, and the mean ball size (`inf_ball_mean_size`) spans orders of
-magnitude across xi and r, so callers size batches by a vertex budget
-rather than a ball count.  `inf_ball_generation_sizes(xi, r, rng, size)`
-returns a (size, r + 1) array of generation sizes.
+every ball's depths at once.  Its memory grows with the vertex count,
+which spans orders of magnitude across xi and r, so the commands draw
+no vertices: a ball's law depends only on its edge count
+k = Z_1 + ... + Z_r and its depth-r vertex count d = Z_r, and
+`inf_ball_generation_chunks` yields (rows, r + 1) arrays of generation
+sizes Z_0..Z_r, at most GENERATION_CHUNK_ENTRIES entries each.  Sizes
+are int64, so a radius whose mean ball (`inf_ball_mean_size`) exceeds
+MAX_MEAN_BALL_SIZE = 2^60 vertices is refused.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -59,6 +63,7 @@ __all__ = [
     "ball_probability_kd",
     "gw_ball_probability",
     "inf_ball_generation_sizes",
+    "inf_ball_generation_chunks",
     "inf_ball_mean_size",
 ]
 
@@ -321,6 +326,20 @@ def gw_ball_probability(xi: float, tree: PlaneTree, r: int) -> float:
     return (1.0 - xi) ** k * xi ** (k + 1 - d)
 
 
+# half a megabyte of int64 per array: rows enough to share numpy's call cost
+GENERATION_CHUNK_ENTRIES = 1 << 16
+# int64 sizes, and a run's largest draws exceed the mean by orders of magnitude
+MAX_MEAN_BALL_SIZE = 2.0 ** 60
+
+
+def _check_generation_radius(xi: float, r: int) -> None:
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+    if inf_ball_mean_size(xi, r) > MAX_MEAN_BALL_SIZE:
+        raise ValueError(f"limit-tree radius {r} too large: its mean ball exceeds"
+                         f" 2^60 vertices, and generation sizes are int64")
+
+
 def inf_ball_generation_sizes(xi: float, r: int, rng: np.random.Generator,
                               size: int) -> np.ndarray:
     """Generation sizes Z_0..Z_r of the survival-conditioned tree, drawn
@@ -330,11 +349,10 @@ def inf_ball_generation_sizes(xi: float, r: int, rng: np.random.Generator,
     Sums of i.i.d. gap counts collapse into negative binomial draws, so
     one sample costs O(r) regardless of how large the generations get
     (they grow like ((1 - xi) / xi)^h for xi < 1/2).  At xi = 1/2, q = 1
-    keeps exactly one surviving vertex per generation.
+    keeps exactly one surviving vertex per generation.  A radius whose
+    mean ball exceeds MAX_MEAN_BALL_SIZE is a ValueError.
     """
-    _check_xi(xi, allow_critical=True)
-    if r < 0:
-        raise ValueError("radius must be >= 0")
+    _check_generation_radius(xi, r)
     q = xi / (1.0 - xi)
     s = np.ones(size, dtype=np.int64)  # surviving at this height
     d = np.zeros(size, dtype=np.int64)  # free vertices at this height
@@ -345,3 +363,13 @@ def inf_ball_generation_sizes(xi: float, r: int, rng: np.random.Generator,
         s = s_next
         sizes.append(s + d)
     return np.array(sizes, dtype=np.int64).T
+
+
+def inf_ball_generation_chunks(xi: float, r: int, rng: np.random.Generator,
+                               samples: int) -> Iterator[np.ndarray]:
+    """samples draws of inf_ball_generation_sizes in arrays of at most
+    GENERATION_CHUNK_ENTRIES entries; the arguments are checked at once."""
+    _check_generation_radius(xi, r)
+    rows = max(1, GENERATION_CHUNK_ENTRIES // (r + 1))
+    return (inf_ball_generation_sizes(xi, r, rng, min(rows, samples - start))
+            for start in range(0, samples, rows))

@@ -31,8 +31,7 @@ from .asymptotics import solve_beta_theta
 from .distributions import (
     ball_probability,
     ball_probability_kd,
-    inf_ball_generation_sizes,
-    inf_ball_mean_size,
+    inf_ball_generation_chunks,
     root_degree_pmf_beta,
 )
 from .oracle import NON_TREE, exact_ball_dist, exact_root_degree_dist, exact_tree_ball_dist
@@ -449,11 +448,6 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
                             passed, ("root_degree",))
 
 
-# bound on the mean ball size degree_profile draws: generation sizes are
-# int64, and a run's largest draws exceed the mean by orders of magnitude
-MAX_MEAN_BALL_SIZE = 2.0 ** 60
-
-
 def degree_profile(cfg: ExperimentConfig, r: int,
                    rel_tol: float = 0.1) -> ComparisonReport:
     """Global mean degree identity next to the local ball average.
@@ -464,24 +458,16 @@ def degree_profile(cfg: ExperimentConfig, r: int,
     the strictly larger 2/(1-beta); the gap is the size bias of balls.
     Rows cover every radius up to r; the pass flag checks the last
     radius against the limit within rel_tol.  The draw reaches radius
-    r + 1, whose mean ball size must stay within MAX_MEAN_BALL_SIZE.
+    r + 1, which `inf_ball_generation_chunks` must accept.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
     beta, xi_val, z_beta = _resolve_constants(cfg.theta, None)
-    if inf_ball_mean_size(xi_val, r + 1) > MAX_MEAN_BALL_SIZE:
-        raise ValueError(f"radius {r} too large: the mean ball of radius {r + 1}"
-                         f" exceeds 2^60 vertices, and generation sizes are int64")
     local_limit = 2.0 / (1.0 - beta) if beta < 1 else math.inf
-
-    # draws per call, so that the (draws, r + 2) arrays stay near half a megabyte
-    per_call = max(1, (1 << 16) // (r + 2))
 
     def worker(rng, count):
         sums: Counter = Counter()
-        for start in range(0, count, per_call):
-            gen = inf_ball_generation_sizes(xi_val, r + 1, rng,
-                                            size=min(per_call, count - start))
+        for gen in inf_ball_generation_chunks(xi_val, r + 1, rng, count):
             v = np.cumsum(gen, axis=1)[:, 1:r + 1].astype(np.float64)
             avg = (2.0 * (v - 1.0) + gen[:, 2:]) / v  # column h - 1 holds radius h
             for h in range(1, r + 1):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unimaps.asymptotics import regime
-from unimaps.cli import _gw_chunk, main
+from unimaps.cli import main
 from unimaps.counting import lehman_walsh_count
 from unimaps.distributions import ball_probability_kd, root_degree_limit_pmf
 from unimaps.experiments import _height2_tree_count
@@ -142,6 +142,25 @@ def test_sample_jsonl_shape_and_determinism(capsys, tmp_path):
         assert len(cdt["signs"]) == 7 - 2 * 1
 
 
+def test_root_degree_solves_beta_once(capsys, monkeypatch):
+    import unimaps.asymptotics
+    import unimaps.cli
+    import unimaps.distributions
+
+    calls = []
+
+    def counted(theta, *args, **kwargs):
+        calls.append(theta)
+        return unimaps.asymptotics.solve_beta_theta(theta, *args, **kwargs)
+
+    for module in (unimaps.cli, unimaps.distributions):
+        monkeypatch.setattr(module, "solve_beta_theta", counted, raising=False)
+    code, out, _ = run(capsys, ["root-degree", "--theta", "0.25", "--dmax", "50"])
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 50
+    assert calls == [0.25]
+
+
 def test_sample_different_seed_differs(capsys):
     code, out1, _ = run(capsys, ["sample", "--n", "8", "--g", "2",
                                  "--seed", "1"])
@@ -184,10 +203,28 @@ def test_gw_batched_cells_match_ball_law(capsys):
             assert abs(observed.get(kd, 0.0) - cells[kd]) < 4.5 * se, (xi, kd)
 
 
-def test_gw_chunks_by_expected_ball_size():
-    # a ball of about 1.2e5 vertices is drawn alone; small balls share a draw
-    assert _gw_chunk(0.02, 3) == 1
-    assert _gw_chunk(0.1, 2) >= 32
+def test_gw_reaches_deep_radii(capsys):
+    # balls of about 4e11 vertices on average: only generation sizes are drawn
+    code, out, _ = run(capsys, ["gw", "--xi", "0.1", "--r", "12",
+                                "--samples", "1000", "--seed", "2"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "value,probability"
+    total = 0.0
+    for line in lines[1:]:
+        value, prob = line.split(",")
+        k, d = (int(part.split("=")[1]) for part in value.split())
+        assert 1 <= d <= k
+        total += float(prob)
+    assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_gw_radius_past_int64_is_usage_error(capsys):
+    # test_degree_profile_radius_stays_within_int64 checks degree-profile at the bound
+    code, out, err = run(capsys, ["gw", "--xi", "0.02", "--r", "12"])
+    assert code == 2
+    assert out == ""
+    assert "2^60" in err and "int64" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -335,6 +372,28 @@ def test_verify_root_degree_failure_exits_one(capsys):
                                 "--tv-max", "1e-9", "--seed", "7"])
     assert code == 1
     assert "# passed=False" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "root-degree", "--n", "4", "--g", "1", "--r", "2"],
+    ["verify", "root-degree", "--n", "4", "--g", "1", "--samp", "5", "--ref", "exact"],
+    ["count", "--n", "4", "--asym", "--form", "json"],
+    ["--se", "3", "count", "--n", "4"],
+])
+def test_abbreviated_options_are_usage_errors(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_full_option_names_parse(capsys):
+    code, _, _ = run(capsys, ["verify", "root-degree", "--n", "4", "--g", "1",
+                              "--samples", "5", "--reference", "exact"])
+    assert code == 0
+    code, out, _ = run(capsys, ["--seed", "3", "count", "--n", "4", "--asymptotic",
+                                "--format", "json"])
+    assert code == 0
+    assert len(json.loads(out)) == 3
 
 
 def test_missing_required_argument_is_usage_error(capsys):

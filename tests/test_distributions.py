@@ -23,7 +23,6 @@ from unimaps.distributions import (
     size_biased_cycle_pmf,
     x_beta_pmf,
 )
-from unimaps.cli import _ball_kd
 from unimaps.trees import (
     dyck_forest_codes,
     enumerate_plane_trees,
@@ -169,10 +168,6 @@ def test_forest_word_splits_into_balls():
         codes = dyck_forest_codes(forest)
         assert len(codes) == balls
         assert np.all(_heights(forest) == r)
-        k, d = _ball_kd(forest, r)
-        trees = [parse_plane_code(code) for code in codes]
-        assert k.tolist() == [t.n_edges for t in trees]
-        assert d.tolist() == [t.count_at_height(r) for t in trees]
         if xi < 0.5:
             forest = gw_ball_sample(xi, r, rng, size=balls)
             assert len(dyck_forest_codes(forest)) == balls

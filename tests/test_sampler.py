@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unimaps import sampler as sampler_module
 from unimaps.counting import odd_partitions, perm_count_for_type
@@ -59,6 +60,22 @@ def test_sample_sizes_and_root():
             assert len(s.graph.edges) == n
             assert s.graph.n_vertices == n + 1 - 2 * g
             assert root_degree(s) >= 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_samples_are_connected_maps_of_their_size(seed):
+    rng = np.random.default_rng(seed)
+    for n in range(1, 13):
+        for g in range(n // 2 + 1):
+            s = sample_unicellular(n, g, rng)
+            v = n + 1 - 2 * g
+            assert s.graph.n_vertices == v
+            assert len(s.graph.edges) == n
+            assert int(np.diff(s.adjacency.start).sum()) == 2 * n
+            assert s.graph.root_vertex == 0 and s.graph.root_edge == 0
+            assert s.graph.edges[0][0] == 0
+            assert len(s.adjacency.ball(0, n).vertices) == v, (n, g)
 
 
 def test_root_degree_counts_loops_twice():
