@@ -23,6 +23,7 @@ from .counting import (
     perm_count_for_type,
     odd_cycle_perm_count,
     lehman_walsh_count,
+    lehman_walsh_row,
 )
 from .asymptotics import (
     Regime,

@@ -17,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import log_asymptotic_count, ratio_to_exact, regime, solve_beta_theta
-from .counting import lehman_walsh_count
+from .counting import lehman_walsh_count, lehman_walsh_row
 from .distributions import inf_ball_generation_chunks, root_degree_pmf_beta
 from .experiments import (
     ExperimentConfig,
     degree_profile,
+    render_table,
     run_local_limit,
     run_root_degree,
 )
@@ -32,43 +33,28 @@ from .trees import enumerate_plane_trees, parse_plane_code, plane_code
 
 def _write(args, text: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _rows_out(args, header: list[str], rows: list[list]) -> None:
-    """Write a table as CSV (None as an empty cell) or as JSON (null)."""
-    # exact counts pass CPython's int-to-str digit limit (4300 digits near
-    # n = 2000, g = 500; interpreters before 3.10.7 have no limit); lift it
-    # while rendering and restore it after, since main() may run inside a
-    # longer-lived interpreter
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        if args.format == "json":
-            payload = [dict(zip(header, row)) for row in rows]
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        else:
-            lines = [",".join(header)]
-            lines += [",".join("" if cell is None else str(cell) for cell in row)
-                      for row in rows]
-            text = "\n".join(lines) + "\n"
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
-    _write(args, text)
+    _write(args, render_table(args.format, header, rows))
 
 
 def _cmd_count(args) -> int:
-    genera = [args.g] if args.g is not None else list(range(args.n // 2 + 1))
+    if args.g is None:
+        counts = enumerate(lehman_walsh_row(args.n))
+    else:
+        counts = [(args.g, lehman_walsh_count(args.n, args.g))]
     header = ["n", "g", "count"]
     if args.asymptotic:
         header += ["log_asymptotic", "ratio"]
     rows = []
-    for g in genera:
-        count = lehman_walsh_count(args.n, g)
+    for g, count in counts:
         row: list = [args.n, g, count]
         if args.asymptotic and args.g is None and not (1 <= g and 2 * g < args.n):
             # the formula is undefined at this genus; an explicit --g fails
@@ -152,22 +138,16 @@ def _cmd_oracle_census(args) -> int:
     return 0
 
 
-def _surgery_rows(checks) -> tuple[list[list], bool]:
-    rows = []
-    all_equal = True
-    for tree_code, check in checks:
-        rows.append([tree_code, check.n, check.g, check.k, check.d, check.r,
-                     check.lhs_count, check.rhs_count, check.equal])
-        all_equal = all_equal and check.equal
-    return rows, all_equal
+def _surgery_out(args, checks) -> int:
+    rows = [[tree_code, c.n, c.g, c.k, c.d, c.r, c.lhs_count, c.rhs_count, c.equal]
+            for tree_code, c in checks]
+    _rows_out(args, ["tree", "n", "g", "k", "d", "r", "lhs", "rhs", "equal"], rows)
+    return 0 if all(c.equal for _, c in checks) else 1
 
 
 def _cmd_oracle_surgery(args) -> int:
-    tree = parse_plane_code(args.tree)
-    check = verify_surgery(args.n, args.g, tree)
-    rows, all_equal = _surgery_rows([(args.tree, check)])
-    _rows_out(args, ["tree", "n", "g", "k", "d", "r", "lhs", "rhs", "equal"], rows)
-    return 0 if all_equal else 1
+    check = verify_surgery(args.n, args.g, parse_plane_code(args.tree))
+    return _surgery_out(args, [(args.tree, check)])
 
 
 def _cmd_verify_surgery(args) -> int:
@@ -184,9 +164,7 @@ def _cmd_verify_surgery(args) -> int:
                     if 2 * g > n2:
                         continue
                     checks.append((plane_code(tree), verify_surgery(n, g, tree)))
-    rows, all_equal = _surgery_rows(checks)
-    _rows_out(args, ["tree", "n", "g", "k", "d", "r", "lhs", "rhs", "equal"], rows)
-    return 0 if all_equal else 1
+    return _surgery_out(args, checks)
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -199,6 +177,11 @@ def _experiment_config(args) -> ExperimentConfig:
     )
 
 
+def _report_out(args, report) -> int:
+    _write(args, report.render(args.format))
+    return 0 if report.passed else 1
+
+
 def _cmd_verify_local_limit(args) -> int:
     cfg = _experiment_config(args)
     report = run_local_limit(
@@ -208,22 +191,18 @@ def _cmd_verify_local_limit(args) -> int:
         z_max=args.z_max,
         min_expected=args.min_expected,
     )
-    _write(args, report.render(args.format))
-    return 0 if report.passed else 1
+    return _report_out(args, report)
 
 
 def _cmd_root_degree_verify(args) -> int:
     cfg = _experiment_config(args)
     report = run_root_degree(cfg, reference=args.reference, tv_max=args.tv_max)
-    _write(args, report.render(args.format))
-    return 0 if report.passed else 1
+    return _report_out(args, report)
 
 
 def _cmd_degree_profile(args) -> int:
     cfg = _experiment_config(args)
-    report = degree_profile(cfg, args.r)
-    _write(args, report.render(args.format))
-    return 0 if report.passed else 1
+    return _report_out(args, degree_profile(cfg, args.r))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -34,9 +34,10 @@ which spans orders of magnitude across xi and r, so the commands draw
 no vertices: a ball's law depends only on its edge count
 k = Z_1 + ... + Z_r and its depth-r vertex count d = Z_r, and
 `inf_ball_generation_chunks` yields (rows, r + 1) arrays of generation
-sizes Z_0..Z_r, at most GENERATION_CHUNK_ENTRIES entries each.  Sizes
+sizes Z_0..Z_r, at most GENERATION_CHUNK_ENTRIES entries each, so a
+radius past GENERATION_CHUNK_ENTRIES - 1 is refused at once.  Sizes
 are int64, so a radius whose mean ball (`inf_ball_mean_size`) exceeds
-MAX_MEAN_BALL_SIZE = 2^60 vertices is refused.
+MAX_MEAN_BALL_SIZE = 2^60 vertices is refused too.
 """
 
 from __future__ import annotations
@@ -335,6 +336,9 @@ MAX_MEAN_BALL_SIZE = 2.0 ** 60
 def _check_generation_radius(xi: float, r: int) -> None:
     if r < 0:
         raise ValueError("radius must be >= 0")
+    if r + 1 > GENERATION_CHUNK_ENTRIES:
+        raise ValueError(f"limit-tree radius {r} too large: a draw's {r + 1}"
+                         f" generation sizes must fit one chunk of 2^16 entries")
     if inf_ball_mean_size(xi, r) > MAX_MEAN_BALL_SIZE:
         raise ValueError(f"limit-tree radius {r} too large: its mean ball exceeds"
                          f" 2^60 vertices, and generation sizes are int64")
@@ -370,6 +374,6 @@ def inf_ball_generation_chunks(xi: float, r: int, rng: np.random.Generator,
     """samples draws of inf_ball_generation_sizes in arrays of at most
     GENERATION_CHUNK_ENTRIES entries; the arguments are checked at once."""
     _check_generation_radius(xi, r)
-    rows = max(1, GENERATION_CHUNK_ENTRIES // (r + 1))
+    rows = GENERATION_CHUNK_ENTRIES // (r + 1)
     return (inf_ball_generation_sizes(xi, r, rng, min(rows, samples - start))
             for start in range(0, samples, rows))

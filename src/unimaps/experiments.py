@@ -4,7 +4,8 @@ Each run samples one-face maps, reduces them to a local observable
 (root degree, radius-r ball), and compares empirical frequencies with
 the corresponding limit formula.  Reports are plain data with a
 reproducibility header; identical config and seed give byte-identical
-output.
+output.  `render_table` is the one table writer: every CLI table and
+every report's rows go through it.
 
 Two comparison granularities coexist for balls.  The plane-level rows
 need every ball vertex to be a fixed point of the decoration, which at
@@ -15,14 +16,14 @@ informative at any theta.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +35,41 @@ from .distributions import (
     inf_ball_generation_chunks,
     root_degree_pmf_beta,
 )
-from .oracle import NON_TREE, exact_ball_dist, exact_root_degree_dist, exact_tree_ball_dist
+from .oracle import exact_ball_dist, exact_root_degree_dist, exact_tree_ball_dist
 from .sampler import ball_as_tree, root_degree, sample_unicellular
 from .stats import tv_distance
 from .trees import parse_plane_code, plane_embeddings_count
 
-MERGED = "!merged"
-SHALLOW = "!shallow"
+# pass-flag settings no caller varies; reports still print top_m
+Z_MAX = 4.0
+TOP_M = 10
+Z_DEGREE_MAX = 8
+REL_TOL = 0.1
+
+
+def _records(header, rows) -> list[dict]:
+    return [dict(zip(header, row)) for row in rows]
+
+
+def render_table(fmt: str, header, rows) -> str:
+    """Render a table as CSV (None as an empty cell) or as JSON records
+    (None as null)."""
+    # exact counts pass CPython's int-to-str digit limit (4300 digits near
+    # n = 2000, g = 500; absent before 3.10.7): lift it while rendering only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            return json.dumps(_records(header, rows), sort_keys=True, indent=2) + "\n"
+        if fmt == "csv":
+            cells = (["" if cell is None else str(cell) for cell in row]
+                     for row in [header, *rows])
+            return "".join(",".join(line) + "\n" for line in cells)
+        raise ValueError("format must be csv or json")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 @dataclass(frozen=True)
@@ -70,8 +99,7 @@ class ExperimentConfig:
         return self.g / self.n
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     section: str
     outcome: str
     observed: float
@@ -103,33 +131,17 @@ class ComparisonReport:
         return tuple(row for row in self.rows if row.section == section)
 
     def mass(self, name: str) -> float:
-        for key, value in self.masses:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.masses)[name]
 
     def tv_of(self, section: str) -> float:
-        for key, value in self.tv:
-            if key == section:
-                return value
-        raise KeyError(section)
+        return dict(self.tv)[section]
 
     def to_json(self) -> str:
         obj = {
             "kind": self.kind,
             "params": dict(self.params),
             "constants": dict(self.constants),
-            "rows": [
-                {
-                    "section": row.section,
-                    "outcome": row.outcome,
-                    "observed": row.observed,
-                    "expected": row.expected,
-                    "std_err": row.std_err,
-                    "z": row.z,
-                }
-                for row in self.rows
-            ],
+            "rows": _records(ReportRow._fields, self.rows),
             "tv": dict(self.tv),
             "masses": dict(self.masses),
             "passed": self.passed,
@@ -138,29 +150,17 @@ class ComparisonReport:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        for key, value in (("kind", self.kind),) + self.params + self.constants:
-            buf.write(f"# {key}={value}\n")
-        for key, value in self.tv:
-            buf.write(f"# tv.{key}={value}\n")
-        for key, value in self.masses:
-            buf.write(f"# mass.{key}={value}\n")
-        buf.write(f"# scored={','.join(self.scored)}\n")
-        buf.write(f"# passed={self.passed}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["section", "outcome", "observed", "expected", "std_err", "z"])
-        for row in self.rows:
-            writer.writerow(
-                [row.section, row.outcome, row.observed, row.expected, row.std_err, row.z]
-            )
-        return buf.getvalue()
+        head = (("kind", self.kind),) + self.params + self.constants
+        head += tuple((f"tv.{key}", value) for key, value in self.tv)
+        head += tuple((f"mass.{key}", value) for key, value in self.masses)
+        head += (("scored", ",".join(self.scored)), ("passed", self.passed))
+        return ("".join(f"# {key}={value}\n" for key, value in head)
+                + render_table("csv", ReportRow._fields, self.rows))
 
     def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        raise ValueError("format must be csv or json")
+        if fmt not in ("csv", "json"):
+            raise ValueError("format must be csv or json")
+        return self.to_json() if fmt == "json" else self.to_csv()
 
 
 @lru_cache(maxsize=1)
@@ -185,15 +185,16 @@ def build_id() -> str:
     return f"unimaps-{__version__}"
 
 
-def _resolve_constants(theta: float, xi: float | None) -> tuple[float, float, float]:
-    """(beta, xi, z_beta) for a run; xi may be forced, e.g. to 1/2."""
+def _resolve_constants(theta: float, xi: float | None) -> tuple[float, float, tuple]:
+    """(beta, xi, report constants) for a run; xi may be forced, e.g. to 1/2."""
     if xi is None:
         beta = solve_beta_theta(theta)
         xi = (1.0 - beta) / 2.0
     else:
         beta = 1.0 - 2.0 * xi
     z_beta = math.atanh(beta) if beta > 0 else 0.0
-    return beta, xi, z_beta
+    constants = (("beta", beta), ("xi", xi), ("z_beta", z_beta), ("build", build_id()))
+    return beta, xi, constants
 
 
 def _chunks(total: int, workers: int) -> list[int]:
@@ -232,11 +233,22 @@ def _binomial_row(section: str, outcome: str, count: int, prob: float,
     return ReportRow(section, outcome, freq, prob, se, z)
 
 
-def _shape_stats(code: str) -> tuple[int, int, int, int]:
-    """(k, height, d, embeddings) of an unordered ball code."""
+def _compare(section: str, counts, probs, n_samples: int, scored,
+             z_max: float) -> tuple[list[ReportRow], float, bool]:
+    """Binomial rows over the sorted union of observed and law outcomes,
+    the section's TV, and whether every outcome in scored has |z| <= z_max."""
+    outcomes = sorted(set(counts) | set(probs))
+    rows = [_binomial_row(section, str(o), counts.get(o, 0), probs.get(o, 0.0), n_samples)
+            for o in outcomes]
+    tv = tv_distance({o: c / n_samples for o, c in counts.items()}, probs)
+    within = all(abs(row.z) <= z_max for o, row in zip(outcomes, rows) if o in scored)
+    return rows, tv, within
+
+
+def _shape_stats(code: str) -> tuple[int, int, int]:
+    """(k, d, embeddings) of an unordered ball code, d at its full height."""
     rep = parse_plane_code(code)
-    height = rep.height()
-    return rep.n_edges, height, rep.count_at_height(height), plane_embeddings_count(rep)
+    return rep.n_edges, rep.count_at_height(rep.height()), plane_embeddings_count(rep)
 
 
 def _height2_tree_count(k: int, d: int) -> int:
@@ -252,8 +264,8 @@ def _height2_tree_count(k: int, d: int) -> int:
 
 
 def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
-                    xi: float | None = None, z_max: float = 4.0,
-                    min_expected: float = 50.0, top_m: int = 10) -> ComparisonReport:
+                    xi: float | None = None, z_max: float = Z_MAX,
+                    min_expected: float = 50.0) -> ComparisonReport:
     """Sampled radius-r balls against the limit ball law.
 
     One sampling pass serves every radius.  Observed values are raw
@@ -270,7 +282,7 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
     shapes get rare.
 
     The pass flag looks at scored sections only, and within them at the
-    top_m outcomes by limit probability whose expected count reaches
+    TOP_M outcomes by limit probability whose expected count reaches
     min_expected.  Rare-outcome tails converge slower than any fixed
     z threshold at fixed n, so scoring the head is what a finite run can
     actually certify; the full table still lands in the report.
@@ -284,11 +296,13 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
         raise ValueError("radii must be >= 1")
     if cfg.g == 0 and cfg.n <= 6:
         return _exact_local_limit(cfg, radii)
-    beta, xi_val, z_beta = _resolve_constants(cfg.theta, xi)
+    beta, xi_val, constants = _resolve_constants(cfg.theta, xi)
 
     def worker(rng, count):
         out: dict = {("plane", r): Counter() for r in radii}
         out.update({("shape", r): Counter() for r in radii})
+        # (leftover, r) -> balls outside the tables, reported as masses
+        out["left"] = Counter()
         out["vertices"] = Counter()
         for _ in range(count):
             sample = sample_unicellular(cfg.n, cfg.g, rng)
@@ -297,23 +311,24 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
                 out["vertices"][("seen", r)] += shape.n_vertices
                 out["vertices"][("nonfixed", r)] += shape.n_nonfixed
                 if not shape.is_tree:
-                    out[("plane", r)][NON_TREE] += 1
-                    out[("shape", r)][NON_TREE] += 1
+                    out["left"][("nontree", r)] += 1
                     continue
                 full = shape.height == r
                 code = shape.unordered_code
-                out[("shape", r)][code if full else SHALLOW] += 1
-                if not shape.merged:
-                    out[("plane", r)][shape.plane_code if full else SHALLOW] += 1
-                elif r == 1:
+                if full:
+                    out[("shape", r)][code] += 1
+                else:
+                    out["left"][("shallow", r)] += 1
+                if shape.merged and r > 1:
+                    out["left"][("merged", r)] += 1
+                elif full:
                     # a height-1 tree ball is a star, one plane order only,
                     # so merged vertices cost nothing at this radius
-                    out[("plane", r)][code if full else SHALLOW] += 1
-                else:
-                    out[("plane", r)][MERGED] += 1
+                    out[("plane", r)][code if shape.merged else shape.plane_code] += 1
         return out
 
     merged = _fanout(cfg, worker)
+    left = merged["left"]
     n_samples = cfg.samples
     rows: list[ReportRow] = []
     tv: list[tuple[str, float]] = []
@@ -323,17 +338,18 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
     for r in radii:
         plane_counts = merged[("plane", r)]
         shape_counts = merged[("shape", r)]
-        plane_probs: dict[str, float] = {}
-        for code in sorted(k for k in plane_counts if not k.startswith("!")):
-            plane_probs[code] = ball_probability(xi_val, parse_plane_code(code))
-        shape_probs: dict[str, float] = {}
-        kd_counts: Counter = Counter()
-        for code in sorted(k for k in shape_counts if not k.startswith("!")):
-            k_edges, height, d, embeddings = _shape_stats(code)
-            shape_probs[code] = embeddings * ball_probability_kd(xi_val, k_edges, d)
-            kd_counts[f"k={k_edges} d={d}"] += shape_counts[code]
-        tree_balls = n_samples - shape_counts[NON_TREE]
-        plane_scored = r == 1 or plane_counts[MERGED] <= 0.05 * tree_balls
+        plane_probs = {code: ball_probability(xi_val, parse_plane_code(code))
+                       for code in plane_counts}
+        shape_probs, kd_probs, kd_counts = {}, {}, Counter()
+        for code, count in shape_counts.items():
+            k_edges, d, embeddings = _shape_stats(code)
+            p_kd = ball_probability_kd(xi_val, k_edges, d)
+            shape_probs[code] = embeddings * p_kd
+            kd = f"k={k_edges} d={d}"  # cells read at r = 2 only
+            kd_counts[kd] += count
+            kd_probs[kd] = _height2_tree_count(k_edges, d) * p_kd
+        tree_balls = n_samples - left[("nontree", r)]
+        plane_scored = r == 1 or left[("merged", r)] <= 0.05 * tree_balls
         sections = [
             (f"plane_r{r}", plane_counts, plane_probs, plane_scored),
             (f"shape_r{r}", shape_counts, shape_probs, True),
@@ -341,38 +357,27 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
         if r == 2:
             # individual ball shapes get rare as they grow, so the z checks
             # need outcomes pooled by the (k, d) pair the law depends on
-            kd_probs: dict[str, float] = {}
-            for key in sorted(kd_counts):
-                k_edges, d = (int(part.split("=")[1]) for part in key.split())
-                kd_probs[key] = (_height2_tree_count(k_edges, d)
-                                 * ball_probability_kd(xi_val, k_edges, d))
             sections.append((f"kd_r{r}", kd_counts, kd_probs, True))
         for section, counts, probs, section_scored in sections:
-            head = set(sorted(probs, key=lambda c: (-probs[c], c))[:top_m])
-            for code, prob in probs.items():
-                row = _binomial_row(section, code, counts[code], prob, n_samples)
-                rows.append(row)
-                if (section_scored and code in head
-                        and prob * n_samples >= min_expected
-                        and abs(row.z) > z_max):
-                    passed = False
+            head = sorted(probs, key=lambda c: (-probs[c], c))[:TOP_M]
+            scored_head = {c for c in head
+                           if section_scored and probs[c] * n_samples >= min_expected}
+            section_rows, section_tv, within = _compare(section, counts, probs, n_samples,
+                                                        scored_head, z_max)
+            rows += section_rows
+            tv.append((section, section_tv))
+            passed = passed and within
             if section_scored:
                 scored.append(section)
-            tv.append((section, tv_distance(
-                {k: v / n_samples for k, v in counts.items() if not k.startswith("!")},
-                probs)))
-        masses.append((f"nontree_r{r}", shape_counts[NON_TREE] / n_samples))
-        masses.append((f"merged_r{r}", plane_counts[MERGED] / n_samples))
-        masses.append((f"shallow_r{r}", shape_counts[SHALLOW] / n_samples))
+        for name in ("nontree", "merged", "shallow"):
+            masses.append((f"{name}_r{r}", left[(name, r)] / n_samples))
         seen = merged["vertices"][("seen", r)]
         nonfixed = merged["vertices"][("nonfixed", r)]
         masses.append((f"nonfixed_vertex_fraction_r{r}",
                        nonfixed / seen if seen else 0.0))
     params = (("n", cfg.n), ("g", cfg.g), ("radii", ",".join(map(str, radii))),
               ("samples", cfg.samples), ("seed", cfg.seed), ("workers", cfg.workers),
-              ("z_max", z_max), ("min_expected", min_expected), ("top_m", top_m))
-    constants = (("beta", beta), ("xi", xi_val), ("z_beta", z_beta),
-                 ("build", build_id()))
+              ("z_max", z_max), ("min_expected", min_expected), ("top_m", TOP_M))
     return ComparisonReport("local-limit", params, constants, tuple(rows),
                             tuple(tv), tuple(masses), passed, tuple(scored))
 
@@ -395,20 +400,20 @@ def _exact_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...]) -> Compari
     params = (("n", cfg.n), ("g", cfg.g), ("radii", ",".join(map(str, radii))),
               ("samples", 0), ("seed", cfg.seed), ("workers", cfg.workers))
     # the g=0 limit parameters; the comparison itself is enumeration only
-    constants = (("beta", 0.0), ("xi", 0.5), ("z_beta", 0.0),
-                 ("build", build_id()))
+    constants = _resolve_constants(0.0, 0.5)[2]
     return ComparisonReport("local-limit", params, constants, tuple(rows),
                             tuple(tv), tuple(),
                             passed, tuple(f"exact_r{r}" for r in radii))
 
 
 def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
-                    z_max: float = 4.0, z_degree_max: int = 8,
                     tv_max: float | None = None) -> ComparisonReport:
     """Sampled root degree against the limit pmf or the exact finite-n pmf.
 
     reference "limit" uses the independent-sum law at theta = g/n;
     "exact" uses the enumerated distribution and needs oracle-scale n.
+    The pass flag scores the degrees up to Z_DEGREE_MAX that have positive
+    probability, and the TV against tv_max when one is given.
     """
     if reference not in ("limit", "exact"):
         raise ValueError("reference must be limit or exact")
@@ -416,7 +421,7 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
         # before sampling: the enumeration refuses n past its cap at once
         probs = {d: float(p)
                  for d, p in sorted(exact_root_degree_dist(cfg.n, cfg.g).items())}
-    beta, xi_val, z_beta = _resolve_constants(cfg.theta, None)
+    beta, xi_val, constants = _resolve_constants(cfg.theta, None)
 
     def worker(rng, count):
         degrees: Counter = Counter()
@@ -427,29 +432,20 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
     degrees = _fanout(cfg, worker)["deg"]
     if reference == "limit":
         probs = {d: root_degree_pmf_beta(beta, d) for d in range(1, max(degrees) + 1)}
-    rows = []
-    passed = True
-    for d in sorted(set(degrees) | set(probs)):
-        row = _binomial_row("root_degree", str(d), degrees.get(d, 0),
-                            probs.get(d, 0.0), cfg.samples)
-        rows.append(row)
-        if d <= z_degree_max and probs.get(d, 0.0) > 0 and abs(row.z) > z_max:
-            passed = False
-    tv_val = tv_distance({d: c / cfg.samples for d, c in degrees.items()}, probs)
+    scored = {d for d, p in probs.items() if d <= Z_DEGREE_MAX and p > 0}
+    rows, tv_val, passed = _compare("root_degree", degrees, probs, cfg.samples,
+                                    scored, Z_MAX)
     if tv_max is not None and tv_val > tv_max:
         passed = False
     params = (("n", cfg.n), ("g", cfg.g), ("samples", cfg.samples),
               ("seed", cfg.seed), ("workers", cfg.workers),
               ("reference", reference))
-    constants = (("beta", beta), ("xi", xi_val), ("z_beta", z_beta),
-                 ("build", build_id()))
     return ComparisonReport("root-degree", params, constants, tuple(rows),
                             (("root_degree", tv_val),), tuple(),
                             passed, ("root_degree",))
 
 
-def degree_profile(cfg: ExperimentConfig, r: int,
-                   rel_tol: float = 0.1) -> ComparisonReport:
+def degree_profile(cfg: ExperimentConfig, r: int) -> ComparisonReport:
     """Global mean degree identity next to the local ball average.
 
     The global mean is 2n over the vertex count, an exact identity with
@@ -457,12 +453,12 @@ def degree_profile(cfg: ExperimentConfig, r: int,
     radius-r ball of the survival-conditioned limit tree and approaches
     the strictly larger 2/(1-beta); the gap is the size bias of balls.
     Rows cover every radius up to r; the pass flag checks the last
-    radius against the limit within rel_tol.  The draw reaches radius
+    radius against the limit within REL_TOL.  The draw reaches radius
     r + 1, which `inf_ball_generation_chunks` must accept.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
-    beta, xi_val, z_beta = _resolve_constants(cfg.theta, None)
+    beta, xi_val, constants = _resolve_constants(cfg.theta, None)
     local_limit = 2.0 / (1.0 - beta) if beta < 1 else math.inf
 
     def worker(rng, count):
@@ -487,13 +483,11 @@ def degree_profile(cfg: ExperimentConfig, r: int,
         var = max(acc[("sumsq", h)] / n_samples - mean * mean, 0.0)
         se = math.sqrt(var / n_samples)
         # no z: the gap to the limit is the ball average's finite-r bias,
-        # which outgrows sampling error, so only rel_tol scores it
+        # which outgrows sampling error, so only REL_TOL scores it
         rows.append(ReportRow("ball_average", f"r={h}", mean, local_limit, se, None))
-        if h == r and abs(mean / local_limit - 1.0) > rel_tol:
+        if h == r and abs(mean / local_limit - 1.0) > REL_TOL:
             passed = False
     params = (("n", cfg.n), ("g", cfg.g), ("r", r), ("samples", cfg.samples),
               ("seed", cfg.seed), ("workers", cfg.workers))
-    constants = (("beta", beta), ("xi", xi_val), ("z_beta", z_beta),
-                 ("build", build_id()))
     return ComparisonReport("degree-profile", params, constants, tuple(rows),
                             tuple(), tuple(), passed, ("global", "ball_average"))

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import signal
 import sys
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from unimaps.asymptotics import regime
 from unimaps.cli import main
-from unimaps.counting import lehman_walsh_count
+from unimaps.counting import lehman_walsh_count, lehman_walsh_row
 from unimaps.distributions import ball_probability_kd, root_degree_limit_pmf
 from unimaps.experiments import _height2_tree_count
 from unimaps.maps import RootedGraph
@@ -227,6 +228,37 @@ def test_gw_radius_past_int64_is_usage_error(capsys):
     assert "2^60" in err and "int64" in err
 
 
+def test_gw_deep_radius_is_refused_at_once(capsys):
+    # at xi = 1/2 the mean ball grows only like r^2, far below 2^60 here
+
+    def too_slow(signum, frame):
+        raise TimeoutError("still running after one second")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, out, err = run(capsys, ["gw", "--xi", "0.5", "--r", "100000000",
+                                      "--samples", "1"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert out == ""
+    assert "2^16" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "4"],
+    ["verify", "local-limit", "--n", "5", "--g", "0"],
+])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run(capsys, argv + ["--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert f"cannot write --out {path}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["gw", "--xi", "0.3", "--r", "1", "--samples", "0"],
     ["gw", "--xi", "0.3", "--r", "1", "--samples", "-5"],
@@ -430,12 +462,19 @@ def test_count_asymptotic_counts_each_genus_once(capsys, monkeypatch):
         calls.append((n, g))
         return lehman_walsh_count(n, g, *args, **kwargs)
 
+    def counted_row(n):
+        calls.append((n, None))
+        return lehman_walsh_row(n)
+
     monkeypatch.setattr(unimaps.cli, "lehman_walsh_count", counted)
+    monkeypatch.setattr(unimaps.cli, "lehman_walsh_row", counted_row)
     monkeypatch.setattr(unimaps.asymptotics, "lehman_walsh_count", counted)
     code, out, _ = run(capsys, ["count", "--n", "10", "--asymptotic"])
     assert code == 0
-    assert len(out.strip().splitlines()) == 1 + 6
-    assert sorted(calls) == [(10, g) for g in range(6)]
+    # one recurrence pass counts every genus, and each genus gets one row
+    assert calls == [(10, None)]
+    assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == [
+        str(g) for g in range(6)]
     calls.clear()
     code, out, _ = run(capsys, ["count", "--n", "40", "--g", "9", "--asymptotic"])
     assert code == 0

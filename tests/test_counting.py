@@ -5,6 +5,7 @@ import pytest
 from unimaps.counting import (
     double_factorial,
     lehman_walsh_count,
+    lehman_walsh_row,
     odd_cycle_perm_count,
     odd_partitions,
     perm_count_for_type,
@@ -31,6 +32,12 @@ def test_routes_agree():
         a = lehman_walsh_count(n, g, method="partition")
         b = lehman_walsh_count(n, g, method="dp")
         assert a == b
+
+
+def test_row_pass_matches_partition_route():
+    for n in range(0, 41):
+        assert lehman_walsh_row(n) == [lehman_walsh_count(n, g, method="partition")
+                                       for g in range(n // 2 + 1)], n
 
 
 def test_total_over_genus_is_gluing_count():
