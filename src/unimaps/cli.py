@@ -151,6 +151,9 @@ def _cmd_oracle_surgery(args) -> int:
 
 
 def _cmd_verify_surgery(args) -> int:
+    for flag in ("nmax", "kmax"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be >= 1")
     checks = []
     for k in range(1, args.kmax + 1):
         for tree in enumerate_plane_trees(k):

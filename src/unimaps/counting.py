@@ -178,14 +178,14 @@ def lehman_walsh_count(n: int, g: int, method: str = "dp") -> int:
 
 
 def lehman_walsh_row(n: int) -> list[int]:
-    """lehman_walsh_count(n, g) for g = 0..n//2 (none for n < 0).
+    """lehman_walsh_count(n, g) for g = 0..n//2; n must be >= 0.
 
     One pass of the recurrence over the whole band gives a(n+1, n+1-2g)
     for every g at once, O(n^2) big-int steps in all: about 0.2 s at
     n = 1000 on a 2-core x86_64 machine, where a pass per genus takes 16 s.
     """
     if n < 0:
-        return []
+        raise ValueError("n and g must be >= 0")
     plane = catalan(n)
     return [plane * perms // 4**g
             for g, perms in enumerate(_odd_cycle_band(n + 1, 0, n // 2))]

@@ -101,17 +101,22 @@ class RotationMap:
     def vertex_of_dart(self) -> list[int]:
         """Vertex id (index of its sigma-cycle, ordered by minimum dart)
         for every dart."""
-        owner = [0] * len(self.sigma)
-        for vid, cyc in enumerate(self.vertex_cycles()):
-            for d in cyc:
-                owner[d] = vid
-        return owner
+        return _owner_of(self.vertex_cycles(), len(self.sigma))
 
     def root_degree(self) -> int:
         """Degree of the root vertex, i.e. number of darts around it."""
         owner = self.vertex_of_dart()
         rv = owner[self.root_dart]
         return sum(1 for d in range(len(self.sigma)) if owner[d] == rv)
+
+
+def _owner_of(cycles: list[tuple[int, ...]], n_darts: int) -> list[int]:
+    """Index in cycles of the cycle through each dart."""
+    owner = [0] * n_darts
+    for vid, cyc in enumerate(cycles):
+        for d in cyc:
+            owner[d] = vid
+    return owner
 
 
 def faces_and_genus(alpha, sigma) -> tuple[int, int]:
@@ -345,7 +350,7 @@ def rotation_ball_code(m: RotationMap, r: int) -> tuple[bool, Optional[str]]:
     # BFS over darts, kept apart from Adjacency.ball, which this checks:
     # a vertex is a sigma cycle and alpha leads to the next vertex
     cycles = m.vertex_cycles()
-    owner = m.vertex_of_dart()
+    owner = _owner_of(cycles, len(m.sigma))
     dist = [-1] * len(cycles)
     dist[owner[m.root_dart]] = 0
     queue = [owner[m.root_dart]]

@@ -300,6 +300,30 @@ def test_no_edges_is_usage_error(capsys, argv):
     assert "need at least one edge" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "-1"],
+    ["count", "--n", "-1", "--g", "0"],
+])
+def test_negative_edge_count_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "n and g must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "surgery", "--nmax", "0", "--kmax", "3"], "--nmax"),
+    (["verify", "surgery", "--nmax", "-2", "--kmax", "3"], "--nmax"),
+    (["verify", "surgery", "--nmax", "4", "--kmax", "0"], "--kmax"),
+    (["verify", "surgery", "--nmax", "4", "--kmax", "-1"], "--kmax"),
+])
+def test_empty_surgery_sweep_is_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be >= 1" in err
+
+
 def test_exact_reference_cap_is_checked_before_sampling(capsys, monkeypatch):
     import unimaps.experiments
 

@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from unimaps.counting import double_factorial
+from unimaps.maps import RotationMap, faces_and_genus, unfolding_ball_code
 from unimaps.oracle import (
     NON_TREE,
+    _ball_reading,
+    _ball_tally,
+    _degree_tally,
+    _maps,
     census,
     exact_ball_dist,
     exact_root_degree_dist,
@@ -71,3 +77,19 @@ def test_surgery_radius_one():
     assert check.equal
     assert check.lhs_count == 14
     assert (check.k, check.d, check.r) == (2, 2, 1)
+
+
+def test_one_walk_reads_genus_and_root_degree_of_every_map():
+    for n in range(1, 6):
+        for alpha, sigma, genus, root_degree in _maps(n):
+            assert faces_and_genus(alpha, sigma) == (1, genus)
+            assert root_degree == RotationMap(alpha, sigma, 0).root_degree()
+
+
+def test_every_tally_counts_every_map_once():
+    for n in range(1, 6):
+        total = double_factorial(2 * n - 1)
+        assert sum(_degree_tally(n).values()) == total
+        for r in (1, 2):
+            for reader in (_ball_reading, unfolding_ball_code):
+                assert sum(_ball_tally(n, r, reader).values()) == total
