@@ -20,7 +20,7 @@ from unimaps.sampler import root_degree, sample_unicellular
 rng = np.random.default_rng(2024)
 
 # one draw, fully inspectable
-sample = sample_unicellular(8, 2, rng)
+[sample] = sample_unicellular(8, 2, rng, 1)
 graph = sample.graph
 print(f"n=8, g=2 draw: {len(graph.edges)} edges on "
       f"{8 + 1 - 2 * 2} vertices, root vertex {graph.root_vertex}")
@@ -31,9 +31,7 @@ print("built from a plane tree with cycle signs", cdt.signs)
 # sanity at a size the gluing oracle can enumerate: empirical root
 # degree against the exact distribution
 draws = 20_000
-counts = Counter()
-for _ in range(draws):
-    counts[root_degree(sample_unicellular(4, 1, rng))] += 1
+counts = Counter(map(root_degree, sample_unicellular(4, 1, rng, draws)))
 exact = exact_root_degree_dist(4, 1)
 print(f"\nroot degree at (n=4, g=1), {draws} draws:")
 for d in sorted(exact):
@@ -42,9 +40,7 @@ for d in sorted(exact):
 
 # at large n with g = n/4 the root degree approaches a universal law
 n, g, draws = 600, 150, 4000
-counts = Counter()
-for _ in range(draws):
-    counts[root_degree(sample_unicellular(n, g, rng))] += 1
+counts = Counter(map(root_degree, sample_unicellular(n, g, rng, draws)))
 print(f"\nroot degree at (n={n}, g={g}), {draws} draws:")
 for d in range(1, 7):
     limit = root_degree_limit_pmf(g / n, d)

@@ -93,8 +93,7 @@ def _cmd_sample(args) -> int:
     _check_samples(args)
     rng = np.random.default_rng(args.seed)
     lines = []
-    for _ in range(args.samples):
-        sample = sample_unicellular(args.n, args.g, rng)
+    for sample in sample_unicellular(args.n, args.g, rng, args.samples):
         graph = sample.graph
         obj = {
             "v": graph.n_vertices,

@@ -304,8 +304,7 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
         # (leftover, r) -> balls outside the tables, reported as masses
         out["left"] = Counter()
         out["vertices"] = Counter()
-        for _ in range(count):
-            sample = sample_unicellular(cfg.n, cfg.g, rng)
+        for sample in sample_unicellular(cfg.n, cfg.g, rng, count):
             for r in radii:
                 shape = ball_as_tree(sample, r)
                 out["vertices"][("seen", r)] += shape.n_vertices
@@ -425,8 +424,8 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
 
     def worker(rng, count):
         degrees: Counter = Counter()
-        for _ in range(count):
-            degrees[root_degree(sample_unicellular(cfg.n, cfg.g, rng))] += 1
+        for sample in sample_unicellular(cfg.n, cfg.g, rng, count):
+            degrees[root_degree(sample)] += 1
         return {"deg": degrees}
 
     degrees = _fanout(cfg, worker)["deg"]

@@ -420,14 +420,30 @@ def unfolding_ball_code(m: RotationMap, r: int) -> str:
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
+    if r == 0:
+        return ""
     sigma = m.sigma
     alpha = m.alpha
+    degree = [0] * len(sigma)  # per dart, filled for a vertex when first read
     out: list[str] = []
+
+    def degree_at(dart: int) -> int:
+        if not degree[dart]:
+            cycle = [dart]
+            e = sigma[dart]
+            while e != dart:
+                cycle.append(e)
+                e = sigma[e]
+            for d in cycle:
+                degree[d] = len(cycle)
+        return degree[dart]
 
     def explore(arrival: int, depth: int) -> None:
         # exits are the rotation at the current vertex starting after the
-        # arrival dart; skipping the arrival itself bans the reversal
-        if depth == r:
+        # arrival dart; skipping the arrival itself bans the reversal.  At
+        # depth r - 1 every exit is a leaf, so only their number matters.
+        if depth == r - 1:
+            out.append("()" * (degree_at(arrival) - 1))
             return
         e = sigma[arrival]
         while e != arrival:
@@ -436,10 +452,10 @@ def unfolding_ball_code(m: RotationMap, r: int) -> str:
             out.append(")")
             e = sigma[e]
 
-    if r == 0:
-        return ""
     # the root vertex has no arrival direction: every dart is an exit,
     # in rotation order starting at the root dart
+    if r == 1:
+        return "()" * degree_at(m.root_dart)
     e = m.root_dart
     first = True
     while first or e != m.root_dart:

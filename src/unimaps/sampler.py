@@ -13,6 +13,12 @@ Dyck word and preorder parent array, the permutation is a label sequence
 cut into blocks (one block per cycle), and the quotient is two arrays of
 edge endpoints with a compressed adjacency for ball extraction.  The tuple
 objects (PlaneTree, Permutation, RootedGraph) are built only when read.
+
+Cycle sizes come from rejection on all but the last TAIL of them, those
+drawn exactly given their sum, and every accepted try of a block is kept
+(see OddCyclePermutationSampler).  Map draws are iterators: they take
+their sizes and labels a chunk of about MAP_CHUNK_ENTRIES label entries
+at a time, and draw the tree and quotient of each sample as it is read.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -48,20 +55,19 @@ __all__ = [
 ]
 
 
-def _block_permutation(labels: np.ndarray, sizes: np.ndarray) -> Permutation:
-    """The permutation whose cycles are the consecutive blocks of labels.
+def _block_images(labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Row i: the image array of the permutation whose cycles are the
+    consecutive blocks of labels[i] of lengths sizes[i].
 
     Each label maps to its successor in its block and the last label of a
     block back to the block's first.
     """
-    m = len(labels)
-    nxt = np.empty(m, dtype=np.int64)
-    nxt[:-1] = labels[1:]
-    ends = np.cumsum(sizes) - 1
-    nxt[ends] = labels[ends - sizes + 1]
-    image = np.empty(m, dtype=np.int64)
-    image[labels] = nxt
-    return Permutation(tuple(image.tolist()))
+    succ = np.tile(np.arange(1, labels.shape[1] + 1), (len(labels), 1))
+    ends = np.cumsum(sizes, axis=1) - 1
+    np.put_along_axis(succ, ends, ends - sizes + 1, axis=1)
+    image = np.empty_like(labels)
+    np.put_along_axis(image, labels, np.take_along_axis(labels, succ, axis=1), axis=1)
+    return image
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +77,7 @@ class CDecoratedTree:
     word is the tree's Dyck word, the one source of the tree: parent, its
     preorder parent array (parent[0] == -1), is read off it on first use.
     The permutation is labels cut into consecutive blocks of the given odd
-    sizes, each block one cycle (see _block_permutation); cycle_signs holds
+    sizes, each block one cycle (see _block_images); cycle_signs holds
     one sign per block.  tree, perm and signs give the tuple forms, built
     on first read.
     """
@@ -119,7 +125,7 @@ class CDecoratedTree:
 
     @cached_property
     def perm(self) -> Permutation:
-        return _block_permutation(self.labels, self.sizes)
+        return Permutation(tuple(_block_images(self.labels[None], self.sizes[None])[0].tolist()))
 
     @cached_property
     def signs(self) -> tuple[int, ...]:
@@ -198,19 +204,37 @@ class BallShape:
         return self.n_nonfixed > 0
 
 
-class _SizeLaw:
-    """Per-(m, s) tables of the cycle-size rejection sampler.
+# The last TAIL cycle sizes of a try are drawn exactly given their sum.
+TAIL = 4
+# The most array entries a block of tries or a split holds at once.
+CHUNK_ENTRIES = 2 ** 16
+# Map draws take their cycle sizes and labels at most this many label
+# entries at a time (4 samples at n = 2000): larger chunks raised the
+# peak RSS of a root-degree run by about 100 KB per sample in the chunk.
+MAP_CHUNK_ENTRIES = 2 ** 13
 
-    Odd values 1, 3, ..., 2h-1 (head) get their own multinomial category;
-    pvals holds their probabilities and, last, the mass of the tail bucket
-    of all larger values up to the cap.  cum is the cumulative table of
-    the capped law from XBetaLaw.cumulative, which the tail draws invert.
+
+class _SizeLaw:
+    """Per-(m, s) tables of the cycle-size sampler in excess units: a size
+    2e + 1 has excess e, and the s excesses of a draw sum to top = (m-s)/2.
+
+    A try draws k = s - j head excesses, j = min(TAIL, s): one multinomial
+    over the excesses 0..h-1, whose probabilities pvals holds with, last,
+    the mass of the tail bucket of all larger ones up to the cap, and the
+    bucket's draws by inverse CDF on cum, the capped cumulative table.
+    rows[a] is the a-fold convolution of the excess law on 0..top for the
+    halving sizes a (1, 2, 4 and j), rev[a] the same row reversed and
+    padded with top zeros, from which a split reads its weights.  qmax is
+    the largest rows[j] entry a try can reach, accept the expected
+    acceptance of a try and block the most tries one block holds.
     """
 
-    __slots__ = ("head", "pvals", "cum", "batch")
+    __slots__ = ("top", "j", "k", "pvals", "cum", "rows", "rev", "qmax", "accept",
+                 "block")
 
-    def __init__(self, head: np.ndarray, pvals: np.ndarray, cum: np.ndarray, batch: int):
-        self.head, self.pvals, self.cum, self.batch = head, pvals, cum, batch
+    def __init__(self, **tables):
+        for name, value in tables.items():
+            setattr(self, name, value)
 
 
 @lru_cache(maxsize=16)
@@ -219,34 +243,106 @@ def _size_law(m: int, s: int) -> _SizeLaw:
 
     beta puts the mean of X at m/s.  The head length h minimises the
     expected work of one try, h binomial draws inside the multinomial plus
-    s * P(X > 2h-1) tail values.  A batch of tries is about the expected
-    number to the first success, 1 / P(sum = m), from the local CLT on the
-    lattice of step 2: 2 / sqrt(2 pi s Var X), but at least 64, because
-    below that the fixed cost of a batch outweighs its tries.
+    k * P(X > 2h-1) tail values.  A try is accepted with probability
+    P(sum = m) / qmax on average, with P(sum = m) from the local CLT on
+    the lattice of step 2: 2 / sqrt(2 pi s Var X).
     """
     beta = solve_beta_theta((m - s) / (2.0 * m))
     cum = XBetaLaw(beta).cumulative(m - s + 1)
     total = cum[-1]
-    masses = np.diff(cum, prepend=0.0) / total
-    beyond = 1.0 - cum / total  # beyond[i]: mass of the values past 2i+1
+    masses = np.diff(cum, prepend=0.0) / total  # masses[e]: P(excess = e)
+    beyond = 1.0 - cum / total  # beyond[e]: mass of the excesses past e
+    top, j = (m - s) // 2, min(TAIL, s)
+    k = s - j
     # h ranges over 0..len-1 so the tail always keeps at least one value
-    costs = np.arange(len(cum)) + s * np.concatenate(([1.0], beyond[:-1]))
+    costs = np.arange(len(cum)) + k * np.concatenate(([1.0], beyond[:-1]))
     h = int(np.argmin(costs))
     pvals = np.append(masses[:h], beyond[h - 1] if h else 1.0)
+    rows = {1: masses}
+
+    def row(a: int) -> np.ndarray:
+        if a not in rows:
+            rows[a] = np.convolve(row(a // 2), row(a - a // 2))[:top + 1]
+        return rows[a]
+
+    row(j)
+    rows = {a: np.pad(q, (0, top + 1 - len(q))) for a, q in rows.items()}
+    rev = {a: np.concatenate((q[::-1], np.zeros(top))) for a, q in rows.items()}
+    # the head excesses sum to at most k * (len(cum) - 1)
+    qmax = float(rows[j][max(0, top - k * (len(cum) - 1)) if k else top:].max())
     values = np.arange(1, 2 * len(cum), 2, dtype=np.float64)
     mean = float(masses @ values)
     var = max(float(masses @ values ** 2) - mean * mean, 1e-12)
-    accept = min(1.0, 2.0 / math.sqrt(2.0 * math.pi * s * var))
-    batch = int(min(4096, max(64, math.ceil(1.0 / accept))))
-    head = np.arange(1, 2 * h, 2, dtype=np.int64)
-    return _SizeLaw(head, pvals, cum, batch)
+    accept = min(1.0, 2.0 / math.sqrt(2.0 * math.pi * s * var) / qmax) if k else 1.0
+    # a try holds its multinomial row, its tail values and a few scalars
+    block = max(1, int(CHUNK_ENTRIES // (costs[h] + 8)))
+    return _SizeLaw(top=top, j=j, k=k, pvals=pvals, cum=cum, rows=rows, rev=rev,
+                    qmax=qmax, accept=accept, block=block)
+
+
+def _split(law: _SizeLaw, rng: np.random.Generator, a: int,
+           rho: np.ndarray) -> np.ndarray:
+    """(len(rho), a) excesses of a i.i.d. values given their sums rho.
+
+    The left half's sum t is drawn with weight rows[l][t] *
+    rows[a-l][rho-t], l = a // 2, by inverse CDF along each row; row i
+    reads rows[a-l][rho_i - t] for t = 0, 1, ... off rev[a-l] from
+    top - rho_i on.  Then each half is split the same way.
+    """
+    if a == 1 or not len(rho):
+        return rho.reshape(-1, a)
+    left = a // 2
+    width = int(rho.max()) + 1
+    cols = np.arange(width)
+    weights = law.rows[left][:width]
+    t = np.empty_like(rho)
+    step = max(1, CHUNK_ENTRIES // width)
+    for i in range(0, len(rho), step):
+        r = rho[i:i + step]
+        cum = np.cumsum(law.rev[a - left][(law.top - r)[:, None] + cols] * weights, axis=1)
+        x = rng.random(len(r)) * cum[:, -1]
+        # the minimum guards against u * total rounding up to the total
+        t[i:i + step] = np.minimum(np.count_nonzero(cum <= x[:, None], axis=1), r)
+    if 2 * left == a:
+        halves = _split(law, rng, left, np.concatenate((t, rho - t)))
+        return np.hstack((halves[:len(rho)], halves[len(rho):]))
+    return np.hstack((_split(law, rng, left, t), _split(law, rng, a - left, rho - t)))
+
+
+def _accepted_tries(law: _SizeLaw, rng: np.random.Generator, want: int) -> np.ndarray:
+    """One block of tries: the excesses of its first at most want
+    accepted tries, one row each, in try order."""
+    if not law.k:
+        return _split(law, rng, law.j, np.full(min(want, law.block), law.top, dtype=np.int64))
+    # about two standard deviations of hits more than wanted, so that one
+    # block usually serves the whole call
+    tries = int(min(math.ceil((want + 2 * math.sqrt(want)) / law.accept), law.block))
+    h, cum = len(law.pvals) - 1, law.cum
+    counts = rng.multinomial(law.k, law.pvals, size=tries)
+    n_tail = counts[:, h]
+    low = cum[h - 1] if h else 0.0
+    u = low + rng.random(int(n_tail.sum())) * (cum[-1] - low)
+    tail = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    ends = np.cumsum(n_tail)
+    sums = np.concatenate(([0], np.cumsum(tail)))
+    rho = law.top - (counts[:, :h] @ np.arange(h) + sums[ends] - sums[ends - n_tail])
+    reach = np.where(rho >= 0, law.rows[law.j][np.maximum(rho, 0)], 0.0)
+    hits = np.flatnonzero(rng.random(tries) * law.qmax < reach)[:want]
+    # head excesses in increasing order, the bucket's markers (-1) last,
+    # then the markers replaced by the hits' tail draws in draw order
+    n_tail = n_tail[hits]
+    first = ends[hits] - n_tail
+    picks = np.repeat(first - np.cumsum(n_tail) + n_tail, n_tail) + np.arange(n_tail.sum())
+    head = np.repeat(np.tile(np.append(np.arange(h), -1), len(hits)), counts[hits].ravel())
+    head[head < 0] = tail[picks]
+    return np.hstack((head.reshape(len(hits), law.k), _split(law, rng, law.j, rho[hits])))
 
 
 class OddCyclePermutationSampler:
     """Uniform permutations of {0..m-1} with exactly s cycles, all odd.
 
     Cycle sizes must be distributed like s i.i.d. copies X_1..X_s of the
-    odd-length law P(X = k) ∝ beta^k / k conditioned on summing to m: the
+    odd-length law p(k) ∝ beta^k / k conditioned on summing to m: the
     weight of a size sequence is then prod beta^(k_i)/k_i, and with the
     multinomial cut factor below every target permutation comes out
     equally likely.  beta is tuned so E[X] = m/s and the support is capped
@@ -259,25 +355,38 @@ class OddCyclePermutationSampler:
     them (which block of a given size holds which cycle, and where each
     cycle starts in its block), where c_k is the number of cycles of size
     k.  So only the multiset of sizes, the counts c_k, has to have the
-    right law, and the counts of s i.i.d. draws are one multinomial(s, p)
+    right law, and the counts of s - j i.i.d. draws are one multinomial
     draw over the values.
 
-    Each try is therefore one multinomial over the head values 1, 3, ...,
-    2h-1 plus a tail bucket holding every larger value up to the cap; the
-    c_tail draws that land in the bucket are expanded i.i.d. from the law
-    conditioned on the bucket, by inverse CDF on the cumulative table.
+    A try draws the first s - j sizes, j = min(TAIL, s): one multinomial
+    over the head values 1, 3, ..., 2h-1 plus a tail bucket holding every
+    larger value up to the cap, whose draws are expanded i.i.d. from the
+    law conditioned on the bucket, by inverse CDF on the cumulative table.
     Merging values into a bucket and splitting it again by its conditional
-    law reproduces the counts of s i.i.d. draws exactly, so the split is
-    a cost choice only (see _size_law); h is fixed per (m, s).  A try is
-    accepted when the sizes sum to m; the local CLT puts the acceptance
-    rate near 2 / sqrt(2 pi s Var X).  Tries are drawn in batches and the
-    first accepted one is kept; the tables are cached per (m, s) and hold
-    no random state, so a draw depends only on the generator.
+    law reproduces the counts of i.i.d. draws exactly, so the split is a
+    cost choice only (see _size_law); h is fixed per (m, s).
 
-    Given sizes (head values in increasing order, then the tail draws in
-    draw order), a uniform label sequence is cut into blocks and each
-    block is read as a cycle.  Locked in by the exhaustive small-case
-    frequency tests.
+    The last j sizes are exact given their sum.  Let r = m - (sum of the
+    first s - j), c_j the j-fold convolution of p and c_max the largest
+    c_j(r) over the r a try can reach.  The try is accepted with
+    probability c_j(r) / c_max, and then r is split into j sizes by
+    halving: the left sum t of a group of a sizes is drawn with weight
+    c_l(t) * c_(a-l)(r - t), l = a // 2, and each half is split again, so
+    the j sizes come out with probability prod p(x_i) / c_j(r).  A try
+    therefore yields x_1..x_s and is accepted with probability
+    prod p(x_i) / c_max, proportional to the target weight: every accepted
+    try is an exact draw, and the tries are independent, so every
+    accepted try of a block is kept, in try order.  When j = s the sum is
+    always m and the draw needs no rejection.  The expected tries per
+    draw are c_max / P(X_1 + ... + X_s = m), against 1 / P(...) when every
+    size came from the head.  The tables are cached per (m, s) and hold no
+    random state, and no draw is kept between calls, so a draw depends
+    only on the generator and the call's arguments.
+
+    Given sizes (head values in increasing order, the bucket's draws in
+    draw order, then the last j), a uniform label sequence is cut into
+    blocks and each block is read as a cycle.  Locked in by the
+    exhaustive small-case frequency tests.
     """
 
     def __init__(self, m: int, s: int):
@@ -289,51 +398,61 @@ class OddCyclePermutationSampler:
         self.s = s
         self._law = _size_law(m, s) if 1 < s < m else None
 
-    def sample_sizes(self, rng: np.random.Generator) -> np.ndarray:
-        m, s, law = self.m, self.s, self._law
+    def sample_sizes(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """(size, s) cycle sizes, one draw per row."""
+        m, s = self.m, self.s
         if s == m:
-            return np.ones(m, dtype=np.int64)
+            return np.ones((size, m), dtype=np.int64)
         if s == 1:
-            return np.array([m], dtype=np.int64)
-        h, cum = len(law.head), law.cum
-        low = cum[h - 1] if h else 0.0
-        while True:
-            counts = rng.multinomial(s, law.pvals, size=law.batch)
-            n_tail = counts[:, h]
-            u = low + rng.random(int(n_tail.sum())) * (cum[-1] - low)
-            idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-            tail = 2 * idx + 1
-            ends = np.cumsum(n_tail)
-            sums = np.concatenate(([0], np.cumsum(tail)))
-            totals = counts[:, :h] @ law.head + sums[ends] - sums[ends - n_tail]
-            hits = np.flatnonzero(totals == m)
-            if hits.size:
-                i = hits[0]
-                return np.concatenate((np.repeat(law.head, counts[i, :h]),
-                                       tail[ends[i] - n_tail[i]:ends[i]]))
+            return np.full((size, 1), m, dtype=np.int64)
+        out = np.empty((size, s), dtype=np.int64)
+        done = 0
+        while done < size:
+            excess = _accepted_tries(self._law, rng, size - done)
+            rows = out[done:done + len(excess)]
+            np.multiply(excess, 2, out=rows)
+            rows += 1
+            done += len(excess)
+        return out
 
-    def sample_blocks(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """(labels, sizes): a uniform label sequence and the block sizes
-        that cut it into the cycles."""
-        sizes = self.sample_sizes(rng)
-        return rng.permutation(self.m), sizes
+    def sample_blocks(self, rng: np.random.Generator,
+                      size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, sizes), one draw per row: uniform label sequences and
+        the block sizes that cut them into the cycles."""
+        sizes = self.sample_sizes(rng, size)
+        labels = np.empty((size, self.m), dtype=np.int64)
+        for row in labels:
+            row[:] = rng.permutation(self.m)
+        return labels, sizes
 
-    def sample(self, rng: np.random.Generator) -> Permutation:
-        return _block_permutation(*self.sample_blocks(rng))
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """(size, m) permutation images, one draw per row."""
+        return _block_images(*self.sample_blocks(rng, size))
 
 
-def sample_odd_cycle_permutation(m: int, s: int, rng: np.random.Generator) -> Permutation:
-    return OddCyclePermutationSampler(m, s).sample(rng)
+def sample_odd_cycle_permutation(m: int, s: int, rng: np.random.Generator,
+                                 size: int) -> np.ndarray:
+    return OddCyclePermutationSampler(m, s).sample(rng, size)
 
 
-def sample_c_decorated_tree(n: int, g: int, rng: np.random.Generator) -> CDecoratedTree:
+def _decorated_trees(sampler: OddCyclePermutationSampler, rng: np.random.Generator,
+                     size: int) -> Iterator[CDecoratedTree]:
+    m, s = sampler.m, sampler.s
+    rows = max(1, MAP_CHUNK_ENTRIES // m)
+    for start in range(0, size, rows):
+        labels, sizes = sampler.sample_blocks(rng, min(rows, size - start))
+        signs = 2 * rng.integers(0, 2, size=sizes.shape) - 1
+        for i in range(len(sizes)):
+            yield CDecoratedTree(sample_dyck_word(m - 1, rng), labels[i], sizes[i], signs[i])
+
+
+def sample_c_decorated_tree(n: int, g: int, rng: np.random.Generator,
+                            size: int) -> Iterator[CDecoratedTree]:
+    """size uniform decorated trees, drawn a chunk of cycle sizes and
+    labels at a time as the iterator is read."""
     if g < 0 or 2 * g > n:
         raise ValueError(f"need 0 <= 2g <= n, got n={n}, g={g}")
-    s = n + 1 - 2 * g
-    word = sample_dyck_word(n, rng)
-    labels, sizes = OddCyclePermutationSampler(n + 1, s).sample_blocks(rng)
-    signs = 2 * rng.integers(0, 2, size=s) - 1
-    return CDecoratedTree(word, labels, sizes, signs)
+    return _decorated_trees(OddCyclePermutationSampler(n + 1, n + 1 - 2 * g), rng, size)
 
 
 def _quotient(cdt: CDecoratedTree) -> UnicellularSample:
@@ -351,9 +470,11 @@ def _quotient(cdt: CDecoratedTree) -> UnicellularSample:
     return UnicellularSample(cdt, cls[cdt.parent[1:]], cls[1:], fixed)
 
 
-def sample_unicellular(n: int, g: int, rng: np.random.Generator) -> UnicellularSample:
-    """One uniform draw of the underlying graph of a one-face map."""
-    return _quotient(sample_c_decorated_tree(n, g, rng))
+def sample_unicellular(n: int, g: int, rng: np.random.Generator,
+                       size: int) -> Iterator[UnicellularSample]:
+    """size uniform draws of the underlying graph of a one-face map, made
+    as the iterator is read."""
+    return map(_quotient, sample_c_decorated_tree(n, g, rng, size))
 
 
 def root_degree(sample: UnicellularSample) -> int:

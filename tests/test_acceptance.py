@@ -222,21 +222,21 @@ def test_odd_cycle_permutation_sampler_is_uniform():
     rng = np.random.default_rng(12)
     sampler = OddCyclePermutationSampler(5, 3)
     draws = 200_000
-    counts = Counter(sampler.sample(rng).image for _ in range(draws))
+    counts = Counter(map(tuple, sampler.sample(rng, draws).tolist()))
     assert len(counts) == 20
     result = chi_square_gof(counts, {perm: 1 / 20 for perm in counts},
                             draws)
     assert result.p_value > 0.001
 
     identity = OddCyclePermutationSampler(6, 6)
-    for _ in range(50):
-        assert identity.sample(rng).image == tuple(range(6))
+    assert identity.sample(rng, 50).tolist() == [list(range(6))] * 50
 
 
 def test_mean_degree_identity_and_ball_average_bias():
     rng = np.random.default_rng(8)
     for n, g in ((5, 0), (12, 3), (50, 10)):
-        graph = sample_unicellular(n, g, rng).graph
+        [sample] = sample_unicellular(n, g, rng, 1)
+        graph = sample.graph
         degrees = Counter()
         for a, b in graph.edges:
             degrees[a] += 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from unimaps import sampler as sampler_module
 from unimaps.counting import odd_partitions, perm_count_for_type
-from unimaps.maps import ball_with_vertices, graph_tree_unordered_code
+from unimaps.maps import Permutation, ball_with_vertices, graph_tree_unordered_code
 from unimaps.sampler import (
     OddCyclePermutationSampler,
     ball_as_tree,
@@ -24,17 +24,16 @@ from unimaps.trees import parse_plane_code, plane_code
 def test_permutation_sampler_cycle_types():
     rng = np.random.default_rng(0)
     sampler = OddCyclePermutationSampler(7, 3)
-    for _ in range(100):
-        perm = sampler.sample(rng)
-        cycles = perm.cycles()
+    for image in sampler.sample(rng, 100).tolist():
+        cycles = Permutation(tuple(image)).cycles()
         assert len(cycles) == 3
         assert all(len(c) % 2 == 1 for c in cycles)
 
 
 def test_permutation_sampler_identity_case():
     rng = np.random.default_rng(1)
-    perm = sample_odd_cycle_permutation(4, 4, rng)
-    assert perm.image == (0, 1, 2, 3)
+    images = sample_odd_cycle_permutation(4, 4, rng, 3)
+    assert images.tolist() == [[0, 1, 2, 3]] * 3
 
 
 def test_permutation_sampler_rejects_impossible():
@@ -44,8 +43,7 @@ def test_permutation_sampler_rejects_impossible():
 
 def test_decorated_tree_invariants():
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        cdt = sample_c_decorated_tree(6, 1, rng)
+    for cdt in sample_c_decorated_tree(6, 1, rng, 20):
         assert cdt.n_edges == 6
         assert cdt.genus == 1
         assert len(cdt.signs) == cdt.n_cycles
@@ -54,8 +52,7 @@ def test_decorated_tree_invariants():
 def test_sample_sizes_and_root():
     rng = np.random.default_rng(3)
     for n, g in [(5, 0), (6, 1), (8, 3)]:
-        for _ in range(10):
-            s = sample_unicellular(n, g, rng)
+        for s in sample_unicellular(n, g, rng, 10):
             assert s.genus == g
             assert len(s.graph.edges) == n
             assert s.graph.n_vertices == n + 1 - 2 * g
@@ -68,7 +65,7 @@ def test_samples_are_connected_maps_of_their_size(seed):
     rng = np.random.default_rng(seed)
     for n in range(1, 13):
         for g in range(n // 2 + 1):
-            s = sample_unicellular(n, g, rng)
+            [s] = sample_unicellular(n, g, rng, 1)
             v = n + 1 - 2 * g
             assert s.graph.n_vertices == v
             assert len(s.graph.edges) == n
@@ -80,15 +77,14 @@ def test_samples_are_connected_maps_of_their_size(seed):
 
 def test_root_degree_counts_loops_twice():
     rng = np.random.default_rng(4)
-    degs = [root_degree(sample_unicellular(2, 1, rng)) for _ in range(30)]
+    degs = [root_degree(s) for s in sample_unicellular(2, 1, rng, 30)]
     # the torus map on two edges has a single vertex, degree four
     assert degs == [4] * 30
 
 
 def test_planar_balls_are_clean_trees():
     rng = np.random.default_rng(5)
-    for _ in range(25):
-        s = sample_unicellular(7, 0, rng)
+    for s in sample_unicellular(7, 0, rng, 25):
         shape = ball_as_tree(s, 2)
         assert shape.is_tree
         assert not shape.merged
@@ -99,8 +95,7 @@ def test_planar_balls_are_clean_trees():
 
 def test_one_vertex_torus_ball_is_never_a_tree():
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        s = sample_unicellular(2, 1, rng)
+    for s in sample_unicellular(2, 1, rng, 20):
         shape = ball_as_tree(s, 1)
         assert not shape.is_tree
         assert shape.unordered_code is None
@@ -108,8 +103,7 @@ def test_one_vertex_torus_ball_is_never_a_tree():
 
 def test_nonfixed_accounting():
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        s = sample_unicellular(8, 2, rng)
+    for s in sample_unicellular(8, 2, rng, 20):
         mask = s.fixed_point_mask
         nonfixed_total = sum(1 for fixed in mask if not fixed)
         shape = ball_as_tree(s, 1)
@@ -118,42 +112,50 @@ def test_nonfixed_accounting():
 
 
 def test_determinism_by_seed():
-    a = sample_unicellular(9, 2, np.random.default_rng(42))
-    b = sample_unicellular(9, 2, np.random.default_rng(42))
+    [a] = sample_unicellular(9, 2, np.random.default_rng(42), 1)
+    [b] = sample_unicellular(9, 2, np.random.default_rng(42), 1)
     assert a.graph.edges == b.graph.edges
     assert a.source.perm.image == b.source.perm.image
     assert a.source.signs == b.source.signs
 
 
-@pytest.mark.parametrize("m,s", [(7, 3), (9, 3), (15, 5), (21, 7)])
+# (7, 3), (9, 3), (13, 3): s <= TAIL, so the whole draw is the exact split
+# of m; (15, 5), (21, 7), (41, 5): the head is drawn, accepted or not, and
+# the last TAIL sizes are split from the rest
+@pytest.mark.parametrize("m,s", [(7, 3), (9, 3), (13, 3), (15, 5), (21, 7), (41, 5)])
 def test_cycle_type_frequencies_match_exact_law(m, s):
     # P(type) is the share of odd-cycle permutations with that cycle type
     weights = {p.parts: perm_count_for_type(p, m) for p in odd_partitions(m, s)}
     total = sum(weights.values())
     probs = {parts: w / total for parts, w in weights.items()}
     rng = np.random.default_rng(1000 + m)
-    sampler = OddCyclePermutationSampler(m, s)
     draws = 20_000
-    counts = Counter(tuple(sorted(sampler.sample_sizes(rng).tolist(), reverse=True))
-                     for _ in range(draws))
+    sizes = OddCyclePermutationSampler(m, s).sample_sizes(rng, draws)
+    assert sizes.shape == (draws, s)
+    counts = Counter(tuple(sorted(row, reverse=True)) for row in sizes.tolist())
     assert set(counts) <= set(probs)
     assert chi_square_gof(counts, probs, draws).p_value > 0.001
+
+
+@pytest.mark.parametrize("m,s", [(9, 3), (41, 5), (2001, 201)])
+def test_identical_calls_give_identical_sizes(m, s):
+    sampler = OddCyclePermutationSampler(m, s)
+    first = sampler.sample_sizes(np.random.default_rng(5), 50)
+    assert np.array_equal(first, sampler.sample_sizes(np.random.default_rng(5), 50))
 
 
 @pytest.mark.parametrize("m,s", [(9, 1), (9, 9), (2001, 3), (20001, 10001)])
 def test_cycle_sizes_are_valid_at_the_extremes(m, s):
     rng = np.random.default_rng(s)
-    sampler = OddCyclePermutationSampler(m, s)
-    for _ in range(3):
-        sizes = sampler.sample_sizes(rng)
-        assert len(sizes) == s
-        assert int(sizes.sum()) == m
-        assert np.all(sizes % 2 == 1)
+    sizes = OddCyclePermutationSampler(m, s).sample_sizes(rng, 3)
+    assert sizes.shape == (3, s)
+    assert np.all(sizes.sum(axis=1) == m)
+    assert np.all(sizes % 2 == 1)
 
 
 def test_cold_and_warm_cache_draws_agree():
     def draw():
-        sample = sample_unicellular(300, 60, np.random.default_rng(99))
+        [sample] = sample_unicellular(300, 60, np.random.default_rng(99), 1)
         return sample.src.tolist(), sample.dst.tolist(), sample.source.signs
 
     sampler_module._size_law.cache_clear()
@@ -195,7 +197,7 @@ def test_csr_ball_matches_full_bfs_reference():
     for _ in range(300):
         n = int(rng.integers(1, 41))
         g = int(rng.integers(0, n // 2 + 1))
-        sample = sample_unicellular(n, g, rng)
+        [sample] = sample_unicellular(n, g, rng, 1)
         graph = sample.graph
         loops += any(u == v for u, v in graph.edges)
         multi += len(set(map(frozenset, graph.edges))) < len(graph.edges)
@@ -222,8 +224,7 @@ def test_quotient_matches_the_permutation_cycles():
     # graph vertices are the cycles, the root's cycle is vertex 0, and a
     # vertex is fixed exactly when its cycle is a singleton
     rng = np.random.default_rng(8)
-    for _ in range(50):
-        sample = sample_unicellular(12, 3, rng)
+    for sample in sample_unicellular(12, 3, rng, 50):
         cycles = sample.source.perm.cycles()
         owner = {}
         for c in cycles:
