@@ -10,21 +10,30 @@ here is an O((2n-1)!!) scan over those pairings, which is why the module
 exists: it shares no formulas with the counting and sampling code it
 checks.
 
-There is one scan per (n, reading), kept as counts, never as a list of
-maps: {(genus, root degree): maps} per n, and {(genus, ball code): maps}
-per (n, r, ball reader).  At n = 8 (about 2e6 pairings, 2-core x86_64,
-CPython 3.11) `unimaps verify root-degree --n 8 --g 2 --samples 100
---reference exact` runs in 9-10 s at a peak RSS of 37 MB, and `unimaps
-oracle surgery --n 8 --g 2 --tree "(())"` in 47-60 s at 56 MB.
+The pairings are scanned as int8 arrays, one column per pairing, in
+blocks of at most BLOCK_ENTRIES darts, and pointer doubling reads the
+vertex count and root degree of every map of a block at once (see
+_map_blocks).  There is one scan per (n, reading), kept as counts, never
+as a list of maps: {(genus, root degree): maps} per n, and
+{(genus, ball code): maps} per (n, r, ball reader), whose readers take
+one map at a time.  At n = 8 (about 2e6 pairings, 2-core x86_64,
+CPython 3.11, numpy 2.4) `unimaps verify root-degree --n 8 --g 2
+--samples 100 --reference exact` runs in 0.6-0.8 s at a peak RSS of
+37 MB, and `unimaps oracle surgery --n 8 --g 2 --tree "(())"` in
+24-28 s at 57 MB, nearly all of it in building each map and reading
+its ball.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
+
+import numpy as np
 
 from .counting import double_factorial
 from .maps import RotationMap, rotation_ball_code, unfolding_ball_code
@@ -46,6 +55,12 @@ __all__ = [
 # (2n-1)!! at n=8 is about 2e6 pairings; beyond that a scan is hopeless
 ENUM_CAP = 8
 
+# The most darts (pairings x 2n) one block of the scan holds; its index
+# arrays take 8 bytes a dart.  _maps turns its blocks into tuples, which
+# take far more, so its blocks are smaller.
+BLOCK_ENTRIES = 2 ** 14
+ROW_BLOCK_ENTRIES = 2 ** 11
+
 # outcome label for balls that contain a cycle
 NON_TREE = "!nontree"
 
@@ -57,52 +72,85 @@ def _check_n(n: int) -> None:
         raise ValueError(f"exhaustive enumeration capped at n={ENUM_CAP}")
 
 
-def _pairings(two_n: int) -> Iterator[list[int]]:
-    """All fixed-point-free involutions of 0..two_n-1, as image lists.
+def _grow(base: np.ndarray, j: int) -> np.ndarray:
+    """The pairings of base's points plus two more, the last of which
+    pairs with j; base's points shift up by one from j on."""
+    width, maps = base.shape
+    last = width + 1
+    lift = np.array([p + (p >= j) for p in range(width)], dtype=np.int8)
+    grown = np.empty((width + 2, maps), dtype=np.int8)
+    grown[:j] = lift.take(base[:j])
+    grown[j] = last
+    grown[j + 1:last] = lift.take(base[j:])
+    grown[last] = j
+    return grown
 
-    The last point pairs with each j in turn; the other points carry a
-    pairing of two_n - 2 points, shifted up by one from j on.
+
+def _pairing_blocks(two_n: int, maps: int) -> Iterator[np.ndarray]:
+    """Every fixed-point-free involution of 0..two_n-1 exactly once, one
+    int8 image column each, in blocks of at most maps columns.
+
+    Each block of the level below grows into one block per partner j of
+    the last point; a level of at most maps pairings is one block.
     """
     if two_n == 0:
-        yield []
+        yield np.zeros((0, 1), dtype=np.int8)
         return
-    last = two_n - 1
-    for rest in _pairings(two_n - 2):
-        for j in range(last):
-            alpha = [a + (a >= j) for a in rest]
-            alpha.insert(j, last)
-            alpha.append(j)
-            yield alpha
+    grown = (_grow(base, j) for base in _pairing_blocks(two_n - 2, maps)
+             for j in range(two_n - 1))
+    if math.prod(range(1, two_n, 2)) <= maps:
+        yield np.hstack(list(grown))
+    else:
+        yield from grown
 
 
-def _maps(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
-    """(alpha, sigma, genus, root degree) of every map with n edges.
+def _map_blocks(n: int, entries: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """(alpha, sigma, vertex count, root degree) of every map with n
+    edges, in blocks of at most entries darts: alpha and sigma hold one
+    column per map, the counts one entry.
 
-    One walk over the cycles of sigma gives both numbers: it starts at
-    the root dart 0, so the first cycle it finds is the root vertex.
+    sigma(d) = alpha(d) + 1 mod 2n.  Pointer doubling reads its cycles:
+    lab[d] starts as min(d, sigma(d)) and step as sigma, and each round
+    squares step and sets lab[d] = min(lab[d], lab[step[d]]), so after k
+    rounds lab[d] is the least of d, sigma(d), ..., sigma^(2^(k+1) - 1)(d)
+    and ceil(log2 2n) - 1 rounds cover every cycle.  A map's vertices are
+    its darts that are their cycle's least, and its root degree is the
+    number of darts whose least is 0.
     """
     _check_n(n)
     two_n = 2 * n
-    for alpha in _pairings(two_n):
-        sigma = [a + 1 for a in alpha]
-        sigma[alpha[-1]] = 0
-        seen = [False] * two_n
-        v = root_degree = 0
-        for start in range(two_n):
-            if seen[start]:
-                continue
-            v += 1
-            size = 0
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                size += 1
-                d = sigma[d]
-            if v == 1:
-                root_degree = size
-        gg, rem = divmod(n + 1 - v, 2)
-        assert rem == 0 and gg >= 0
-        yield tuple(alpha), tuple(sigma), gg, root_degree
+    darts = np.arange(two_n, dtype=np.int8)
+    succ = np.roll(darts, -1)
+    rounds = (two_n - 1).bit_length() - 1
+    for alpha in _pairing_blocks(two_n, max(1, entries // two_n)):
+        maps = alpha.shape[1]
+        # take, not [], with int8 indices: [] converts them first, at
+        # twice the cost
+        sigma = succ.take(alpha)
+        # flat dart ids: dart d of map i is d * maps + i
+        step = (np.multiply(sigma, maps, dtype=np.intp) + np.arange(maps)).ravel()
+        lab = np.minimum(np.repeat(darts, maps), sigma.ravel())
+        for _ in range(rounds):
+            step = step[step]
+            lab = np.minimum(lab, lab[step])
+        lab = lab.reshape(alpha.shape)
+        yield (alpha, sigma, np.count_nonzero(lab == darts[:, None], axis=0),
+               np.count_nonzero(lab == 0, axis=0))
+
+
+def _genus(n: int, vertices: int) -> int:
+    """Genus of a one-face map with n edges and the given vertex count."""
+    genus, odd = divmod(n + 1 - vertices, 2)
+    assert genus >= 0 and not odd
+    return genus
+
+
+def _maps(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
+    """(alpha, sigma, genus, root degree) of every map with n edges."""
+    for alpha, sigma, vertices, degree in _map_blocks(n, ROW_BLOCK_ENTRIES):
+        for a, s, v, d in zip(alpha.T.tolist(), sigma.T.tolist(), vertices.tolist(),
+                              degree.tolist()):
+            yield tuple(a), tuple(s), _genus(n, v), d
 
 
 def enumerate_unicellular(n: int) -> Iterator[RotationMap]:
@@ -124,7 +172,15 @@ class GluingCensus:
 @lru_cache(maxsize=None)
 def _degree_tally(n: int) -> Counter:
     """{(genus, root degree): maps} over the maps with n edges."""
-    return Counter((gg, deg) for _, _, gg, deg in _maps(n))
+    stride = 2 * n + 1
+    counts = np.zeros((n + 2) * stride, dtype=np.int64)
+    for _, _, vertices, degree in _map_blocks(n, BLOCK_ENTRIES):
+        counts += np.bincount(vertices * stride + degree, minlength=len(counts))
+    tally: Counter = Counter()
+    for key in np.flatnonzero(counts).tolist():
+        vertices, degree = divmod(key, stride)
+        tally[_genus(n, vertices), degree] = int(counts[key])
+    return tally
 
 
 def _ball_reading(m: RotationMap, r: int) -> str:

@@ -1,6 +1,7 @@
 """Exact counting formulas and their internal cross-checks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unimaps.counting import (
     double_factorial,
@@ -10,6 +11,7 @@ from unimaps.counting import (
     odd_partitions,
     perm_count_for_type,
 )
+from unimaps.oracle import census
 
 
 def test_double_factorial():
@@ -32,6 +34,15 @@ def test_routes_agree():
         a = lehman_walsh_count(n, g, method="partition")
         b = lehman_walsh_count(n, g, method="dp")
         assert a == b
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n // 2))))
+def test_count_routes_agree_with_the_gluing_census(ng):
+    n, g = ng
+    recurrence = lehman_walsh_count(n, g)
+    assert recurrence == lehman_walsh_count(n, g, method="partition")
+    assert recurrence == census(n).counts[g]
 
 
 def test_row_pass_matches_partition_route():

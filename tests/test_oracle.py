@@ -11,6 +11,7 @@ from unimaps.oracle import (
     _ball_reading,
     _ball_tally,
     _degree_tally,
+    _map_blocks,
     _maps,
     census,
     exact_ball_dist,
@@ -80,10 +81,22 @@ def test_surgery_radius_one():
 
 
 def test_one_walk_reads_genus_and_root_degree_of_every_map():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for alpha, sigma, genus, root_degree in _maps(n):
             assert faces_and_genus(alpha, sigma) == (1, genus)
             assert root_degree == RotationMap(alpha, sigma, 0).root_degree()
+
+
+@pytest.mark.parametrize("entries", [2 ** 6, 2 ** 14])
+def test_blocks_hold_every_pairing_once(entries):
+    for n in range(1, 7):
+        seen = set()
+        for alpha, _, _, _ in _map_blocks(n, entries):
+            assert alpha.shape[0] == 2 * n and alpha.size <= entries
+            for column in alpha.T.tolist():
+                assert all(column[column[d]] == d != column[d] for d in range(2 * n))
+                seen.add(tuple(column))
+        assert len(seen) == double_factorial(2 * n - 1)
 
 
 def test_every_tally_counts_every_map_once():

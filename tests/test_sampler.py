@@ -153,6 +153,15 @@ def test_cycle_sizes_are_valid_at_the_extremes(m, s):
     assert np.all(sizes % 2 == 1)
 
 
+@pytest.mark.parametrize("m,s", [(2001, 5), (21, 7)])
+def test_predicted_acceptance_matches_hit_rate(m, s):
+    law = sampler_module._size_law(m, s)
+    rng = np.random.default_rng(11)
+    # asking for a whole block of hits makes every block one full block of tries
+    hits = sum(len(sampler_module._accepted_tries(law, rng, law.block)) for _ in range(20))
+    assert hits / (20 * law.block) == pytest.approx(law.accept, rel=0.1)
+
+
 def test_cold_and_warm_cache_draws_agree():
     def draw():
         [sample] = sample_unicellular(300, 60, np.random.default_rng(99), 1)
