@@ -18,7 +18,7 @@ import numpy as np
 
 from .asymptotics import log_asymptotic_count, ratio_to_exact, regime, solve_beta_theta
 from .counting import lehman_walsh_count, lehman_walsh_row
-from .distributions import inf_ball_generation_chunks, root_degree_pmf_beta
+from .distributions import inf_ball_generations, root_degree_pmf_beta
 from .experiments import (
     ExperimentConfig,
     degree_profile,
@@ -119,8 +119,10 @@ def _cmd_gw(args) -> int:
     counts: Counter = Counter()
     # a ball's law depends only on its edges k = Z_1 + ... + Z_r and its
     # depth-r vertices d = Z_r, so generation sizes are all gw draws
-    for gen in inf_ball_generation_chunks(args.xi, args.r, rng, args.samples):
-        counts.update(zip(gen[:, 1:].sum(axis=1).tolist(), gen[:, -1].tolist()))
+    for h, z in inf_ball_generations(args.xi, args.r, rng, args.samples):
+        k = np.zeros_like(z) if h == 0 else k + z
+        if h == args.r:
+            counts.update(zip(k.tolist(), z.tolist()))
     rows = sorted([f"k={k} d={d}", c / args.samples] for (k, d), c in counts.items())
     _rows_out(args, ["value", "probability"], rows)
     return 0
@@ -190,8 +192,6 @@ def _cmd_verify_local_limit(args) -> int:
         cfg,
         radii=tuple(args.r),
         xi=0.5 if args.critical else None,
-        z_max=args.z_max,
-        min_expected=args.min_expected,
     )
     return _report_out(args, report)
 
@@ -295,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--samples", type=int, default=10_000)
     pl.add_argument("--critical", action="store_true",
                     help="compare against the xi=1/2 law")
-    pl.add_argument("--z-max", type=float, default=4.0)
-    pl.add_argument("--min-expected", type=float, default=50.0)
     pl.set_defaults(func=_cmd_verify_local_limit)
     pr = verify_sub.add_parser("root-degree", parents=[common], help="sampled root degree against"
                                " the limit or exact pmf; report CSV as"

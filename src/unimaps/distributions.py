@@ -33,11 +33,11 @@ every ball's depths at once.  Its memory grows with the vertex count,
 which spans orders of magnitude across xi and r, so the commands draw
 no vertices: a ball's law depends only on its edge count
 k = Z_1 + ... + Z_r and its depth-r vertex count d = Z_r, and
-`inf_ball_generation_chunks` yields (rows, r + 1) arrays of generation
-sizes Z_0..Z_r, at most GENERATION_CHUNK_ENTRIES entries each, so a
-radius past GENERATION_CHUNK_ENTRIES - 1 is refused at once.  Sizes
-are int64, so a radius whose mean ball (`inf_ball_mean_size`) exceeds
-MAX_MEAN_BALL_SIZE = 2^60 vertices is refused too.
+`inf_ball_generations` streams the sizes Z_0..Z_r one generation at a
+time, in blocks of at most GENERATION_ROWS draws, so memory is O(rows).
+A block costs 2r numpy calls, so a radius of 2^16 or more is refused at
+once; sizes are int64, so is one whose mean ball (`inf_ball_mean_size`)
+exceeds MAX_MEAN_BALL_SIZE = 2^60 vertices.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ __all__ = [
     "ball_probability",
     "ball_probability_kd",
     "gw_ball_probability",
-    "inf_ball_generation_sizes",
-    "inf_ball_generation_chunks",
+    "inf_ball_generations",
     "inf_ball_mean_size",
 ]
 
@@ -327,53 +326,47 @@ def gw_ball_probability(xi: float, tree: PlaneTree, r: int) -> float:
     return (1.0 - xi) ** k * xi ** (k + 1 - d)
 
 
-# half a megabyte of int64 per array: rows enough to share numpy's call cost
-GENERATION_CHUNK_ENTRIES = 1 << 16
+# 512 KiB of int64 per generation: rows enough to share numpy's call cost
+GENERATION_ROWS = 1 << 16
 # int64 sizes, and a run's largest draws exceed the mean by orders of magnitude
 MAX_MEAN_BALL_SIZE = 2.0 ** 60
 
 
-def _check_generation_radius(xi: float, r: int) -> None:
+def inf_ball_generations(xi: float, r: int, rng: np.random.Generator,
+                         samples: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Generation sizes of samples independent radius-r balls of the
+    survival-conditioned tree, drawn exactly but in aggregate, without
+    materializing vertices: (h, Z_h) for h = 0..r, for each block of at
+    most GENERATION_ROWS draws in turn (h restarts at 0 with each block).
+
+    Sums of i.i.d. gap counts collapse into negative binomial draws, so a
+    generation costs two numpy calls regardless of how large it gets
+    (they grow like ((1 - xi) / xi)^h for xi < 1/2).  At xi = 1/2, q = 1
+    keeps exactly one surviving vertex per generation.  The arguments are
+    checked at once, before any draw.
+    """
     if r < 0:
         raise ValueError("radius must be >= 0")
-    if r + 1 > GENERATION_CHUNK_ENTRIES:
-        raise ValueError(f"limit-tree radius {r} too large: a draw's {r + 1}"
-                         f" generation sizes must fit one chunk of 2^16 entries")
+    if r >= 1 << 16:
+        # at xi = 1/2 the mean ball grows only like r^2, so the 2^60 guard
+        # below would let r reach 2^30 and one block run for days
+        raise ValueError(f"limit-tree radius {r} too large: radii stop below 2^16,"
+                         f" since a block of draws takes 2r numpy calls")
     if inf_ball_mean_size(xi, r) > MAX_MEAN_BALL_SIZE:
         raise ValueError(f"limit-tree radius {r} too large: its mean ball exceeds"
                          f" 2^60 vertices, and generation sizes are int64")
+    return _generations(xi, r, rng, samples)
 
 
-def inf_ball_generation_sizes(xi: float, r: int, rng: np.random.Generator,
-                              size: int) -> np.ndarray:
-    """Generation sizes Z_0..Z_r of the survival-conditioned tree, drawn
-    exactly but in aggregate, without materializing vertices, as a
-    (size, r + 1) array of independent draws.
-
-    Sums of i.i.d. gap counts collapse into negative binomial draws, so
-    one sample costs O(r) regardless of how large the generations get
-    (they grow like ((1 - xi) / xi)^h for xi < 1/2).  At xi = 1/2, q = 1
-    keeps exactly one surviving vertex per generation.  A radius whose
-    mean ball exceeds MAX_MEAN_BALL_SIZE is a ValueError.
-    """
-    _check_generation_radius(xi, r)
+def _generations(xi: float, r: int, rng: np.random.Generator,
+                 samples: int) -> Iterator[tuple[int, np.ndarray]]:
     q = xi / (1.0 - xi)
-    s = np.ones(size, dtype=np.int64)  # surviving at this height
-    d = np.zeros(size, dtype=np.int64)  # free vertices at this height
-    sizes = [s + d]
-    for _ in range(r):
-        s_next = s + rng.negative_binomial(s, q)
-        d = rng.negative_binomial(s + s_next + d, 1.0 - xi)
-        s = s_next
-        sizes.append(s + d)
-    return np.array(sizes, dtype=np.int64).T
-
-
-def inf_ball_generation_chunks(xi: float, r: int, rng: np.random.Generator,
-                               samples: int) -> Iterator[np.ndarray]:
-    """samples draws of inf_ball_generation_sizes in arrays of at most
-    GENERATION_CHUNK_ENTRIES entries; the arguments are checked at once."""
-    _check_generation_radius(xi, r)
-    rows = GENERATION_CHUNK_ENTRIES // (r + 1)
-    return (inf_ball_generation_sizes(xi, r, rng, min(rows, samples - start))
-            for start in range(0, samples, rows))
+    for start in range(0, samples, GENERATION_ROWS):
+        s = np.ones(min(GENERATION_ROWS, samples - start), dtype=np.int64)  # surviving
+        d = np.zeros_like(s)  # free vertices at this height
+        yield 0, s + d
+        for h in range(1, r + 1):
+            s_next = s + rng.negative_binomial(s, q)
+            d = rng.negative_binomial(s + s_next + d, 1.0 - xi)
+            s = s_next
+            yield h, s + d

@@ -32,7 +32,7 @@ from .asymptotics import solve_beta_theta
 from .distributions import (
     ball_probability,
     ball_probability_kd,
-    inf_ball_generation_chunks,
+    inf_ball_generations,
     root_degree_pmf_beta,
 )
 from .oracle import exact_ball_dist, exact_root_degree_dist, exact_tree_ball_dist
@@ -40,8 +40,9 @@ from .sampler import ball_as_tree, root_degree, sample_unicellular
 from .stats import tv_distance
 from .trees import parse_plane_code, plane_embeddings_count
 
-# pass-flag settings no caller varies; reports still print top_m
+# pass-flag settings no caller varies; local-limit reports print the first three
 Z_MAX = 4.0
+MIN_EXPECTED = 50.0
 TOP_M = 10
 Z_DEGREE_MAX = 8
 REL_TOL = 0.1
@@ -264,8 +265,7 @@ def _height2_tree_count(k: int, d: int) -> int:
 
 
 def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
-                    xi: float | None = None, z_max: float = Z_MAX,
-                    min_expected: float = 50.0) -> ComparisonReport:
+                    xi: float | None = None) -> ComparisonReport:
     """Sampled radius-r balls against the limit ball law.
 
     One sampling pass serves every radius.  Observed values are raw
@@ -283,9 +283,10 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
 
     The pass flag looks at scored sections only, and within them at the
     TOP_M outcomes by limit probability whose expected count reaches
-    min_expected.  Rare-outcome tails converge slower than any fixed
-    z threshold at fixed n, so scoring the head is what a finite run can
-    actually certify; the full table still lands in the report.
+    MIN_EXPECTED, and asks each for |z| <= Z_MAX.  Rare-outcome tails
+    converge slower than any fixed z threshold at fixed n, so scoring the
+    head is what a finite run can actually certify; the full table still
+    lands in the report.
 
     With g=0 and n small the sampling is replaced by exact enumeration
     against the truncated uniform-tree law.  Passing xi overrides the
@@ -360,9 +361,9 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
         for section, counts, probs, section_scored in sections:
             head = sorted(probs, key=lambda c: (-probs[c], c))[:TOP_M]
             scored_head = {c for c in head
-                           if section_scored and probs[c] * n_samples >= min_expected}
+                           if section_scored and probs[c] * n_samples >= MIN_EXPECTED}
             section_rows, section_tv, within = _compare(section, counts, probs, n_samples,
-                                                        scored_head, z_max)
+                                                        scored_head, Z_MAX)
             rows += section_rows
             tv.append((section, section_tv))
             passed = passed and within
@@ -376,7 +377,7 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
                        nonfixed / seen if seen else 0.0))
     params = (("n", cfg.n), ("g", cfg.g), ("radii", ",".join(map(str, radii))),
               ("samples", cfg.samples), ("seed", cfg.seed), ("workers", cfg.workers),
-              ("z_max", z_max), ("min_expected", min_expected), ("top_m", TOP_M))
+              ("z_max", Z_MAX), ("min_expected", MIN_EXPECTED), ("top_m", TOP_M))
     return ComparisonReport("local-limit", params, constants, tuple(rows),
                             tuple(tv), tuple(masses), passed, tuple(scored))
 
@@ -410,9 +411,10 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
     """Sampled root degree against the limit pmf or the exact finite-n pmf.
 
     reference "limit" uses the independent-sum law at theta = g/n;
-    "exact" uses the enumerated distribution and needs oracle-scale n.
-    The pass flag scores the degrees up to Z_DEGREE_MAX that have positive
-    probability, and the TV against tv_max when one is given.
+    "exact" uses the enumerated distribution, needs oracle-scale n, and
+    at n = 2g leaves out the limit constants.  The pass flag scores the
+    degrees up to Z_DEGREE_MAX that have positive probability, and the
+    TV against tv_max when one is given.
     """
     if reference not in ("limit", "exact"):
         raise ValueError("reference must be limit or exact")
@@ -420,7 +422,10 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
         # before sampling: the enumeration refuses n past its cap at once
         probs = {d: float(p)
                  for d, p in sorted(exact_root_degree_dist(cfg.n, cfg.g).items())}
-    beta, xi_val, constants = _resolve_constants(cfg.theta, None)
+    if reference == "limit" or cfg.theta < 0.5:  # the limit refuses theta = 1/2 here
+        beta, _, constants = _resolve_constants(cfg.theta, None)
+    else:  # theta = 1/2 has no limit constants, and the exact law needs none
+        constants = (("build", build_id()),)
 
     def worker(rng, count):
         degrees: Counter = Counter()
@@ -452,8 +457,9 @@ def degree_profile(cfg: ExperimentConfig, r: int) -> ComparisonReport:
     radius-r ball of the survival-conditioned limit tree and approaches
     the strictly larger 2/(1-beta); the gap is the size bias of balls.
     Rows cover every radius up to r; the pass flag checks the last
-    radius against the limit within REL_TOL.  The draw reaches radius
-    r + 1, which `inf_ball_generation_chunks` must accept.
+    radius against the limit within REL_TOL.  Radius h folds the degree
+    sum 2(v_h - 1) + Z_{h+1}, v_h = Z_0 + ... + Z_h, from the stream of
+    `inf_ball_generations` to radius r + 1, which must accept it.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
@@ -462,12 +468,12 @@ def degree_profile(cfg: ExperimentConfig, r: int) -> ComparisonReport:
 
     def worker(rng, count):
         sums: Counter = Counter()
-        for gen in inf_ball_generation_chunks(xi_val, r + 1, rng, count):
-            v = np.cumsum(gen, axis=1)[:, 1:r + 1].astype(np.float64)
-            avg = (2.0 * (v - 1.0) + gen[:, 2:]) / v  # column h - 1 holds radius h
-            for h in range(1, r + 1):
-                sums[("sum", h)] += float(avg[:, h - 1].sum())
-                sums[("sumsq", h)] += float(np.square(avg[:, h - 1]).sum())
+        for h, z in inf_ball_generations(xi_val, r + 1, rng, count):
+            if h >= 2:  # total = v_{h-1} and z = Z_h close radius h - 1
+                avg = (2.0 * (total - 1.0) + z) / total
+                sums[("sum", h - 1)] += float(avg.sum())
+                sums[("sumsq", h - 1)] += float(np.square(avg).sum())
+            total = z if h == 0 else total + z
         return {"acc": sums}
 
     acc = _fanout(cfg, worker)["acc"]

@@ -11,6 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unimaps import distributions
 from unimaps.asymptotics import regime
 from unimaps.cli import main
 from unimaps.counting import lehman_walsh_count, lehman_walsh_row
@@ -180,6 +181,17 @@ def test_gw_probabilities_form_distribution(capsys):
     assert lines[0] == "value,probability"
     probs = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
     assert all(p > 0 for p in probs)
+    assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gw_folds_every_block(capsys, monkeypatch):
+    # 12 draws in blocks of 5, 5 and 2 rows still make one distribution
+    monkeypatch.setattr(distributions, "GENERATION_ROWS", 5)
+    code, out, _ = run(capsys, ["gw", "--xi", "0.3", "--r", "2", "--samples", "12"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "value,probability"
+    probs = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -428,6 +440,21 @@ def test_verify_root_degree_failure_exits_one(capsys):
                                 "--tv-max", "1e-9", "--seed", "7"])
     assert code == 1
     assert "# passed=False" in out
+
+
+def test_root_degree_exact_reference_at_half_genus(capsys):
+    # n = 2g has one vertex of degree 2n and no limit constants (theta = 1/2)
+    code, out, _ = run(capsys, ["verify", "root-degree", "--n", "6", "--g", "3",
+                                "--samples", "50", "--reference", "exact"])
+    assert code == 0
+    assert "# passed=True" in out
+    assert "beta" not in out and "xi" not in out
+    assert out.endswith("root_degree,12,1.0,1.0,0.0,0.0\n")
+    code, out, err = run(capsys, ["verify", "root-degree", "--n", "6", "--g", "3",
+                                  "--samples", "50"])
+    assert code == 2
+    assert out == ""
+    assert "theta" in err
 
 
 @pytest.mark.parametrize("argv", [

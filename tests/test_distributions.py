@@ -6,8 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from unimaps import distributions
 from unimaps.asymptotics import solve_beta_theta
 from unimaps.distributions import (
+    GENERATION_ROWS,
     XBetaLaw,
     ball_probability,
     ball_probability_kd,
@@ -15,7 +17,7 @@ from unimaps.distributions import (
     gw_ball_probability,
     gw_ball_sample,
     gw_inf_ball_sample,
-    inf_ball_generation_sizes,
+    inf_ball_generations,
     inf_ball_mean_size,
     root_degree_conv_pmf,
     root_degree_limit_pmf,
@@ -178,11 +180,16 @@ def test_forest_word_splits_into_balls():
         gw_inf_ball_sample(0.3, 2, rng, size=-1)
 
 
+def _generation_sizes(xi, r, rng, size):
+    """One block of the stream as a (size, r + 1) array, column h = Z_h."""
+    return np.column_stack([z for _, z in inf_ball_generations(xi, r, rng, size)])
+
+
 def test_mean_ball_size_matches_generation_sizes():
     draws = 20000
     rng = np.random.default_rng(13)
     for xi, r in ((0.1, 2), (0.3, 3), (0.5, 4)):
-        gen = inf_ball_generation_sizes(xi, r, rng, size=draws)
+        gen = _generation_sizes(xi, r, rng, size=draws)
         assert gen.shape == (draws, r + 1)
         assert np.all(gen[:, 0] == 1)
         sizes = gen.sum(axis=1)
@@ -203,10 +210,44 @@ def test_unconditioned_ball_probability():
 
 def test_generation_sizes_start_at_root():
     rng = np.random.default_rng(8)
-    gen = inf_ball_generation_sizes(0.3, 4, rng, size=1)
+    gen = _generation_sizes(0.3, 4, rng, size=1)
     assert gen.shape == (1, 5)
     assert gen[0, 0] == 1
     assert np.all(gen >= 1)
+
+
+class _CountingRng:
+    """A Generator whose negative_binomial calls are counted."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def negative_binomial(self, n, p):
+        self.calls += 1
+        return self.rng.negative_binomial(n, p)
+
+
+def test_generations_take_two_calls_per_generation_and_block():
+    r, samples = 300, 10000
+    rng = _CountingRng(np.random.default_rng(4))
+    for _ in inf_ball_generations(0.5, r, rng, samples):
+        pass
+    assert rng.calls == 2 * r * math.ceil(samples / GENERATION_ROWS)
+
+
+def test_generation_radius_is_checked_at_once():
+    rng = _CountingRng(np.random.default_rng(4))
+    for r in (-1, 1 << 16):
+        with pytest.raises(ValueError):
+            inf_ball_generations(0.5, r, rng, 1)
+    assert rng.calls == 0
+
+
+def test_generations_restart_with_each_block(monkeypatch):
+    monkeypatch.setattr(distributions, "GENERATION_ROWS", 5)
+    stream = inf_ball_generations(0.3, 2, np.random.default_rng(6), 12)
+    assert [(h, z.size) for h, z in stream] == [(h, rows) for rows in (5, 5, 2)
+                                                for h in range(3)]
 
 
 def test_generation_sizes_match_ball_law():
@@ -219,7 +260,7 @@ def test_generation_sizes_match_ball_law():
         cells = {(j + d, d): math.comb(d + j - 1, j - 1) * ball_probability_kd(xi, j + d, d)
                  for j in range(1, 80) for d in range(1, 200)}
         assert sum(cells.values()) == pytest.approx(1.0, abs=1e-9)
-        gen = inf_ball_generation_sizes(xi, r, rng, size=draws)
+        gen = _generation_sizes(xi, r, rng, size=draws)
         counts = Counter(zip((gen[:, 1] + gen[:, 2]).tolist(), gen[:, 2].tolist()))
         for kd in sorted(cells, key=cells.get, reverse=True)[:15]:
             se = math.sqrt(cells[kd] * (1 - cells[kd]) / draws)
