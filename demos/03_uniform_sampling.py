@@ -15,7 +15,7 @@ import numpy as np
 
 from unimaps.distributions import root_degree_limit_pmf
 from unimaps.oracle import exact_root_degree_dist
-from unimaps.sampler import root_degree, sample_unicellular
+from unimaps.sampler import root_degree, sample_c_decorated_tree, sample_unicellular
 
 rng = np.random.default_rng(2024)
 
@@ -29,9 +29,10 @@ cdt = sample.source
 print("built from a plane tree with cycle signs", cdt.signs)
 
 # sanity at a size the gluing oracle can enumerate: empirical root
-# degree against the exact distribution
+# degree against the exact distribution; the degree is the tree degrees
+# summed over the root's cycle, so no quotient graph is built
 draws = 20_000
-counts = Counter(map(root_degree, sample_unicellular(4, 1, rng, draws)))
+counts = Counter(map(root_degree, sample_c_decorated_tree(4, 1, rng, draws)))
 exact = exact_root_degree_dist(4, 1)
 print(f"\nroot degree at (n=4, g=1), {draws} draws:")
 for d in sorted(exact):
@@ -40,7 +41,7 @@ for d in sorted(exact):
 
 # at large n with g = n/4 the root degree approaches a universal law
 n, g, draws = 600, 150, 4000
-counts = Counter(map(root_degree, sample_unicellular(n, g, rng, draws)))
+counts = Counter(map(root_degree, sample_c_decorated_tree(n, g, rng, draws)))
 print(f"\nroot degree at (n={n}, g={g}), {draws} draws:")
 for d in range(1, 7):
     limit = root_degree_limit_pmf(g / n, d)

@@ -36,7 +36,7 @@ from .distributions import (
     root_degree_pmf_beta,
 )
 from .oracle import exact_ball_dist, exact_root_degree_dist, exact_tree_ball_dist
-from .sampler import ball_as_tree, root_degree, sample_unicellular
+from .sampler import ball_as_tree, root_degree, sample_c_decorated_tree, sample_unicellular
 from .stats import tv_distance
 from .trees import parse_plane_code, plane_embeddings_count
 
@@ -429,8 +429,8 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
 
     def worker(rng, count):
         degrees: Counter = Counter()
-        for sample in sample_unicellular(cfg.n, cfg.g, rng, count):
-            degrees[root_degree(sample)] += 1
+        for cdt in sample_c_decorated_tree(cfg.n, cfg.g, rng, count):
+            degrees[root_degree(cdt)] += 1
         return {"deg": degrees}
 
     degrees = _fanout(cfg, worker)["deg"]

@@ -11,8 +11,10 @@ here depends on them, but dropping them would misstate the fiber size.
 Everything on the per-sample path is a numpy index array: the tree is its
 Dyck word and preorder parent array, the permutation is a label sequence
 cut into blocks (one block per cycle), and the quotient is two arrays of
-edge endpoints with a compressed adjacency for ball extraction.  The tuple
-objects (PlaneTree, Permutation, RootedGraph) are built only when read.
+edge endpoints with a compressed adjacency for ball extraction.  The root
+degree needs no quotient: it is read off the decorated tree (root_degree).
+The tuple objects (PlaneTree, Permutation, RootedGraph) are built only
+when read.
 
 Cycle sizes come from rejection on all but the last TAIL of them, those
 drawn exactly given their sum, and every accepted try of a block is kept
@@ -487,9 +489,22 @@ def sample_unicellular(n: int, g: int, rng: np.random.Generator,
     return map(_quotient, sample_c_decorated_tree(n, g, rng, size))
 
 
-def root_degree(sample: UnicellularSample) -> int:
-    """Edge-endpoints at the root vertex; loops count twice."""
-    return int(np.count_nonzero(sample.src == 0) + np.count_nonzero(sample.dst == 0))
+def root_degree(cdt: CDecoratedTree) -> int:
+    """Edge-endpoints at the root vertex of the quotient of cdt; loops
+    count twice.
+
+    The root vertex is the block R of labels that holds the tree root 0.
+    Tree edge (parent[v], v) becomes the quotient edge (cls[parent[v]],
+    cls[v]), so the degree counts the v >= 1 whose parent lies in R, plus
+    the |R| - 1 non-root vertices of R: the tree degrees summed over R,
+    read without building the quotient.
+    """
+    ends = np.cumsum(cdt.sizes)
+    block = int(np.searchsorted(ends, int(np.argmin(cdt.labels)), side="right"))
+    root = cdt.labels[ends[block] - cdt.sizes[block]:ends[block]]
+    in_root = np.zeros(len(cdt.labels), dtype=bool)
+    in_root[root] = True
+    return int(np.count_nonzero(in_root[cdt.parent[1:]])) + len(root) - 1
 
 
 def ball_as_tree(sample: UnicellularSample, r: int) -> BallShape:

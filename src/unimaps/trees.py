@@ -8,8 +8,10 @@ balanced-parenthesis code walks the contour: "(" the first time an edge
 is traversed, ")" the second time.  A single vertex has the empty code.
 
 The sampler keeps that code as a Dyck word, an int8 array of +1 and -1
-steps, and reads parents, depths and height truncations off it with
-vectorised code; a PlaneTree is built from it only on request.
+steps: its up-steps are a uniform subset of positions cut by the cycle
+lemma (sample_dyck_word).  Depths are read off the up-step positions,
+parents off one stable radix sort of depth keys (dyck_parents), height
+truncations off a mask; a PlaneTree is built from it only on request.
 """
 
 from __future__ import annotations
@@ -208,19 +210,19 @@ def sample_dyck_word(n: int, rng: np.random.Generator) -> np.ndarray:
     """Exactly uniform Dyck word of length 2n via the cycle lemma, as int8
     steps +1 (down the tree, "(") and -1 (back up, ")").
 
-    Shuffle n up-steps and n+1 down-steps; of the 2n+1 cyclic rotations
+    The positions of the n up-steps among 2n+1 steps are a uniform n-subset
+    (Floyd's algorithm, a partial tail shuffle past 10^4 positions); the
+    other n+1 steps go down.  Of the 2n+1 cyclic rotations of that word
     exactly one stays nonnegative until the final step.  Rotating to just
     after the first minimum of the partial sums and dropping the last
     down-step leaves a uniform Dyck word of length 2n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    steps = np.ones(2 * n + 1, dtype=np.int8)
-    steps[n:] = -1
-    steps = rng.permutation(steps)
-    sums = np.cumsum(steps)
-    cut = int(np.argmin(sums)) + 1  # first position attaining the minimum
-    return np.roll(steps, -cut)[: 2 * n]
+    steps = np.full(2 * n + 1, -1, dtype=np.int8)
+    steps[rng.choice(2 * n + 1, n, replace=False, shuffle=False)] = 1
+    cut = int(np.argmin(np.cumsum(steps))) + 1  # first position attaining the minimum
+    return np.concatenate((steps[cut:], steps[:cut - 1]))
 
 
 def dyck_parents(word) -> tuple[np.ndarray, np.ndarray]:
@@ -228,24 +230,32 @@ def dyck_parents(word) -> tuple[np.ndarray, np.ndarray]:
 
     Vertex v >= 1 is opened by the v-th up-step, so the numbering is
     preorder; parent[0] == -1.  The parent of v is the last vertex one
-    level higher opened before v, found for all vertices at once by a
-    binary search over the vertices sorted by (depth, position).
+    level higher opened before v.  In position order each vertex v is a
+    point with key depth[v], and each v >= 1 also a query with key
+    depth[v] - 1 just before its point; one stable sort by key lines up
+    every query after the points of its level opened before it, so the
+    last point at or before a query, a running maximum, is its parent.
     """
     word = np.asarray(word)
     up = np.flatnonzero(word > 0)
     n = up.size
     depth = np.zeros(n + 1, dtype=np.int64)
-    depth[1:] = np.cumsum(word, dtype=np.int64)[up]
-    width = word.size + 1  # positions, shifted by one for the root, stay below it
-    key = depth * width
-    key[1:] += up + 1
-    # vertex ids already follow position, so a stable sort by depth sorts
-    # by (depth, position); the narrow dtype lets numpy use a radix sort
-    order = np.argsort(depth.astype(np.min_scalar_type(n)), kind="stable")
-    before = np.searchsorted(key[order], key[1:] - width) - 1
+    # v up-steps and up[v-1] + 1 - v down-steps end at the v-th up-step
+    depth[1:] = 2 * np.arange(1, n + 1) - 1 - up
+    # points at even slots, queries at odd slots; the narrow dtype lets
+    # numpy use a radix sort
+    keys = np.empty(2 * n + 1, dtype=np.min_scalar_type(n + 1))
+    keys[0::2] = depth
+    keys[1::2] = depth[1:] - 1
+    order = np.argsort(keys, kind="stable")
+    # each level's first slot is a point: a vertex's parent precedes it
+    last = np.where(order & 1, 0, np.arange(2 * n + 1))
+    np.maximum.accumulate(last, out=last)
+    found = np.empty(2 * n + 1, dtype=np.int64)
+    found[order] = order[last] >> 1
     parent = np.empty(n + 1, dtype=np.int64)
     parent[0] = -1
-    parent[1:] = order[before]
+    parent[1:] = found[1::2]
     return parent, depth
 
 

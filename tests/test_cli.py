@@ -343,6 +343,7 @@ def test_exact_reference_cap_is_checked_before_sampling(capsys, monkeypatch):
         raise AssertionError("sampled before checking the enumeration cap")
 
     monkeypatch.setattr(unimaps.experiments, "sample_unicellular", no_sampling)
+    monkeypatch.setattr(unimaps.experiments, "sample_c_decorated_tree", no_sampling)
     code, out, err = run(capsys, ["verify", "root-degree", "--n", "2000", "--g", "500",
                                   "--samples", "3000", "--reference", "exact"])
     assert code == 2

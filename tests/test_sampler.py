@@ -11,6 +11,7 @@ from unimaps.counting import odd_partitions, perm_count_for_type
 from unimaps.maps import Permutation, ball_with_vertices, graph_tree_unordered_code
 from unimaps.sampler import (
     OddCyclePermutationSampler,
+    _quotient,
     ball_as_tree,
     root_degree,
     sample_c_decorated_tree,
@@ -56,7 +57,7 @@ def test_sample_sizes_and_root():
             assert s.genus == g
             assert len(s.graph.edges) == n
             assert s.graph.n_vertices == n + 1 - 2 * g
-            assert root_degree(s) >= 1
+            assert root_degree(s.source) >= 1
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
@@ -75,9 +76,38 @@ def test_samples_are_connected_maps_of_their_size(seed):
             assert len(s.adjacency.ball(0, n).vertices) == v, (n, g)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_root_degree_equals_the_quotient_root_degree(seed):
+    # the tree degrees summed over the root's cycle are the endpoints at
+    # quotient vertex 0, loops counted twice
+    rng = np.random.default_rng(seed)
+    for n in range(1, 13):
+        for g in range(n // 2 + 1):
+            [cdt] = sample_c_decorated_tree(n, g, rng, 1)
+            q = _quotient(cdt)
+            assert root_degree(cdt) == (np.count_nonzero(q.src == 0)
+                                        + np.count_nonzero(q.dst == 0)), (n, g)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_balls_nest(seed):
+    # the radius-r ball sits inside the radius-(r+1) ball, at the same
+    # distances from the root
+    rng = np.random.default_rng(seed)
+    for n in range(1, 13):
+        for g in range(n // 2 + 1):
+            [s] = sample_unicellular(n, g, rng, 1)
+            for r in range(4):
+                inner, outer = s.adjacency.ball(0, r), s.adjacency.ball(0, r + 1)
+                dist = dict(zip(outer.vertices, outer.dist))
+                assert all(dist.get(v) == d for v, d in zip(inner.vertices, inner.dist)), (n, g, r)
+
+
 def test_root_degree_counts_loops_twice():
     rng = np.random.default_rng(4)
-    degs = [root_degree(s) for s in sample_unicellular(2, 1, rng, 30)]
+    degs = [root_degree(cdt) for cdt in sample_c_decorated_tree(2, 1, rng, 30)]
     # the torus map on two edges has a single vertex, degree four
     assert degs == [4] * 30
 

@@ -13,6 +13,7 @@ from unimaps.trees import (
     parse_plane_code,
     plane_code,
     plane_embeddings_count,
+    sample_dyck_word,
     sample_plane_tree,
     unordered_code,
 )
@@ -72,17 +73,28 @@ def test_embeddings_small_cases():
     assert plane_embeddings_count(parse_plane_code("(())(())")) == 1
 
 
-def test_sampler_is_uniform_over_small_trees():
-    rng = np.random.default_rng(7)
-    n, draws = 3, 5000
+def _uniformity_p_value(n, draws, seed):
+    rng = np.random.default_rng(seed)
     counts = {}
     for _ in range(draws):
         code = plane_code(sample_plane_tree(n, rng))
         counts[code] = counts.get(code, 0) + 1
     probs = {plane_code(t): 1 / catalan(n) for t in enumerate_plane_trees(n)}
     assert set(counts) <= set(probs)
-    result = chi_square_gof(counts, probs, draws)
-    assert result.p_value > 0.001
+    return chi_square_gof(counts, probs, draws).p_value
+
+
+def test_sampler_is_uniform_over_small_trees():
+    assert _uniformity_p_value(3, 5000, 7) > 0.001
+
+
+def test_sampler_is_uniform_over_the_42_trees_with_five_edges():
+    assert _uniformity_p_value(5, 8400, 17) > 0.001
+
+
+def test_empty_dyck_word():
+    word = sample_dyck_word(0, np.random.default_rng(0))
+    assert word.dtype == np.int8 and word.shape == (0,)
 
 
 def test_sampled_sizes():
@@ -112,3 +124,15 @@ def test_dyck_word_arrays_match_tuple_trees():
     forest = "".join("(" + code + ")" for code in codes)
     word = np.array([1 if c == "(" else -1 for c in forest], dtype=np.int8)
     assert dyck_forest_codes(word) == codes
+
+
+@pytest.mark.parametrize("n", [50, 300, 2000])
+def test_dyck_parents_match_tuple_trees_on_sampled_words(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        word = sample_dyck_word(n, rng)
+        assert word.dtype == np.int8 and len(word) == 2 * n
+        reference = parse_plane_code("".join("(" if s > 0 else ")" for s in word.tolist()))
+        parent, depth = dyck_parents(word)
+        assert parent.tolist() == reference.parents()
+        assert depth.tolist() == reference.heights()
