@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -166,24 +167,13 @@ class ComparisonReport:
 
 @lru_cache(maxsize=1)
 def build_id() -> str:
-    """Source identifier embedded in every report."""
-    # imported here: only reports need it, and it is a noticeable share of
-    # the package's import time
-    import subprocess
-
-    root = Path(__file__).resolve().parent.parent.parent
-    try:
-        out = subprocess.run(
-            ["git", "-C", str(root), "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return f"unimaps-{__version__}"
+    """Source identifier embedded in every report: the package version
+    and a CRC32 over the names and contents of the package's .py files,
+    so it changes exactly when the code does, checked out or installed."""
+    crc = 0
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        crc = zlib.crc32(path.name.encode() + b"\0" + path.read_bytes(), crc)
+    return f"unimaps-{__version__}+{crc:08x}"
 
 
 def _resolve_constants(theta: float, xi: float | None) -> tuple[float, float, tuple]:
@@ -295,6 +285,8 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
     """
     if any(r < 1 for r in radii):
         raise ValueError("radii must be >= 1")
+    if len(set(radii)) < len(radii):
+        raise ValueError("radii must not repeat")
     if cfg.g == 0 and cfg.n <= 6:
         return _exact_local_limit(cfg, radii)
     beta, xi_val, constants = _resolve_constants(cfg.theta, xi)
@@ -306,8 +298,7 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
         out["left"] = Counter()
         out["vertices"] = Counter()
         for sample in sample_unicellular(cfg.n, cfg.g, rng, count):
-            for r in radii:
-                shape = ball_as_tree(sample, r)
+            for r, shape in zip(radii, ball_as_tree(sample, radii)):
                 out["vertices"][("seen", r)] += shape.n_vertices
                 out["vertices"][("nonfixed", r)] += shape.n_nonfixed
                 if not shape.is_tree:

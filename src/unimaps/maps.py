@@ -3,7 +3,9 @@
 A map with n edges lives on 2n darts.  ``alpha`` swaps the two darts
 of each edge and ``sigma`` rotates the darts counterclockwise around
 their vertex.  Faces are the cycles of sigma composed after alpha, and
-the Euler relation v - n + f = 2 - 2g gives the genus.
+the Euler relation v - n + f = 2 - 2g gives the genus.  The balls of a
+rooted multigraph are read off root_distances, one numpy pass per level
+over its edge arrays.
 """
 
 from __future__ import annotations
@@ -166,17 +168,17 @@ class RootedGraph:
             raise ValueError("root_edge required when edges exist")
 
     @cached_property
-    def adjacency(self) -> "Adjacency":
-        return Adjacency.build(self.n_vertices, [u for u, _ in self.edges],
-                               [v for _, v in self.edges])
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        return ends[:, 0], ends[:, 1]
 
-    def _component(self) -> "Ball":
-        return self.adjacency.ball(self.root_vertex, self.n_vertices)
+    def _distances(self, r: int) -> np.ndarray:
+        return root_distances(self.n_vertices, *self._ends, self.root_vertex, r)
 
     def is_tree(self) -> bool:
         if len(self.edges) != self.n_vertices - 1:
             return False
-        return len(self._component().vertices) == self.n_vertices
+        return bool(np.all(self._distances(self.n_vertices) < self.n_vertices))
 
     @staticmethod
     def from_json(text: str) -> "RootedGraph":
@@ -189,83 +191,56 @@ class RootedGraph:
         )
 
 
-class Ball:
-    """The vertices within distance r of a root, as a bounded BFS finds them.
+def root_distances(n_vertices: int, src: np.ndarray, dst: np.ndarray, root: int,
+                   r: int) -> np.ndarray:
+    """Distance from root of every vertex of the multigraph with edges
+    (src[i], dst[i]) on vertices 0..n_vertices-1, out to radius r.
 
-    vertices is in BFS order, root first, so distances never decrease
-    along it; dist and parent are aligned with it, parent holding the
-    position in vertices of the vertex that discovered each one (-1 at the
-    root).  edges holds the sorted ids of the edges with an endpoint at
-    distance <= r-1, which are the ball's edges: an edge joining two
-    vertices at distance exactly r is not, nor is a loop on the boundary.
-    The ball is connected, so it is a tree iff it has one edge fewer than
-    vertices, and then parent is that tree.
+    This is the one ball implementation: the radius-r ball is the vertices
+    with dist <= r and the edges with an end at dist < r, so an edge
+    joining two vertices at distance exactly r is not in it, nor is a
+    loop on the boundary.  r is clipped to n_vertices, past which no ball
+    grows, and every vertex farther than the clipped r gets r + 1.  One
+    numpy pass per level gathers the frontier's edge ends; it stops at
+    radius r or at an empty level, so a whole component costs
+    O((V + E) * depth), fine for the small graphs of tests and checks.
     """
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+    r = min(r, n_vertices)
+    dist = np.full(n_vertices, r + 1, dtype=np.int64)
+    dist[root] = 0
+    frontier = np.zeros(n_vertices, dtype=bool)
+    frontier[root] = True
+    for level in range(1, r + 1):
+        reached = np.zeros(n_vertices, dtype=bool)
+        reached[dst[frontier[src]]] = True
+        reached[src[frontier[dst]]] = True
+        reached &= dist > r
+        if not reached.any():
+            break
+        dist[reached] = level
+        frontier = reached
+    return dist
 
-    __slots__ = ("vertices", "dist", "parent", "edges")
 
-    def __init__(self, vertices: list[int], dist: list[int], parent: list[int],
-                 edges: list[int]):
-        self.vertices, self.dist, self.parent, self.edges = vertices, dist, parent, edges
+def tree_ball_code(dist: np.ndarray, src: np.ndarray, dst: np.ndarray, r: int) -> str:
+    """Unordered code of the radius-r ball of root_distances when that
+    ball is a tree.
 
-    @property
-    def is_tree(self) -> bool:
-        return len(self.edges) == len(self.vertices) - 1
-
-    @property
-    def height(self) -> int:
-        return self.dist[-1]
-
-
-class Adjacency:
-    """Compressed adjacency of a multigraph on vertices 0..n-1.
-
-    The edge ends at v are the entries start[v]:start[v+1] of nbr (the
-    other endpoint) and eid (the edge index); a loop sits at its vertex
-    twice.  This is the one ball implementation: RootedGraph trees and
-    balls and the sampler's balls all run ball().
+    Then its edges join each non-root vertex to its parent one level up,
+    and numbering the vertices by distance (breadth-first order) numbers
+    every parent before its children.
     """
-
-    __slots__ = ("start", "nbr", "eid")
-
-    def __init__(self, start: np.ndarray, nbr: np.ndarray, eid: np.ndarray):
-        self.start, self.nbr, self.eid = start, nbr, eid
-
-    @classmethod
-    def build(cls, n_vertices: int, src, dst) -> "Adjacency":
-        """Adjacency of the edges (src[i], dst[i]), i = 0, 1, ..."""
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        ends = np.concatenate((src, dst))
-        # the narrow dtype lets numpy use a radix sort
-        order = np.argsort(ends.astype(np.min_scalar_type(n_vertices)), kind="stable")
-        start = np.zeros(n_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=n_vertices), out=start[1:])
-        nbr = np.concatenate((dst, src))[order]
-        eid = np.tile(np.arange(len(src), dtype=np.int64), 2)[order]
-        return cls(start, nbr, eid)
-
-    def ball(self, root: int, r: int) -> Ball:
-        """Bounded BFS from root that visits only the ball of radius r."""
-        if r < 0:
-            raise ValueError("radius must be >= 0")
-        start, nbr, eid = self.start, self.nbr, self.eid
-        vertices, dist, parent = [int(root)], [0], [-1]
-        seen = {vertices[0]}
-        edges: set[int] = set()
-        i = 0
-        while i < len(vertices) and dist[i] < r:
-            u, du = vertices[i], dist[i] + 1
-            lo, hi = start[u], start[u + 1]
-            edges.update(eid[lo:hi].tolist())
-            for w in nbr[lo:hi].tolist():
-                if w not in seen:
-                    seen.add(w)
-                    vertices.append(w)
-                    dist.append(du)
-                    parent.append(i)
-            i += 1
-        return Ball(vertices, dist, parent, sorted(edges))
+    ball = np.flatnonzero(dist <= r)
+    rank = np.empty_like(dist)
+    rank[ball[np.argsort(dist[ball], kind="stable")]] = np.arange(len(ball))
+    inner = np.minimum(dist[src], dist[dst]) < r
+    src, dst = src[inner], dst[inner]
+    deeper = dist[src] > dist[dst]
+    parent = np.full(len(src) + 1, -1, dtype=np.int64)
+    parent[rank[np.where(deeper, src, dst)]] = rank[np.where(deeper, dst, src)]
+    return parent_unordered_code(parent.tolist())
 
 
 def ball_with_vertices(graph: RootedGraph, r: int) -> tuple[RootedGraph, list[int]]:
@@ -278,19 +253,19 @@ def ball_with_vertices(graph: RootedGraph, r: int) -> tuple[RootedGraph, list[in
     their original order, which makes ball(ball(G, r'), r) == ball(G, r)
     for r <= r'.
     """
-    ball = graph.adjacency.ball(graph.root_vertex, r)
-    keep = sorted(ball.vertices)
-    relabel = {v: i for i, v in enumerate(keep)}
-    edges = []
-    root_edge = None
-    for i in ball.edges:
-        u, v = graph.edges[i]
-        if i == graph.root_edge:
-            root_edge = len(edges)
-        edges.append((relabel[u], relabel[v]))
+    dist = graph._distances(r)
+    r = min(r, graph.n_vertices)
+    src, dst = graph._ends
+    keep = np.flatnonzero(dist <= r)
+    relabel = np.zeros(graph.n_vertices, dtype=np.int64)
+    relabel[keep] = np.arange(len(keep))
+    inner = np.flatnonzero(np.minimum(dist[src], dist[dst]) < r)
+    edges = tuple(zip(relabel[src[inner]].tolist(), relabel[dst[inner]].tolist()))
+    # the root edge leaves the root, so every ball but radius 0 holds it
+    root_edge = int(np.count_nonzero(inner < graph.root_edge)) if edges else None
     return (
-        RootedGraph(len(keep), tuple(edges), relabel[graph.root_vertex], root_edge),
-        keep,
+        RootedGraph(len(keep), edges, int(relabel[graph.root_vertex]), root_edge),
+        keep.tolist(),
     )
 
 
@@ -299,10 +274,10 @@ def graph_tree_unordered_code(graph: RootedGraph) -> str:
 
     Raises ValueError when the graph is not a tree.
     """
-    ball = graph._component()
-    if len(ball.vertices) != graph.n_vertices or not ball.is_tree:
+    if not graph.is_tree():
         raise ValueError("graph is not a tree")
-    return parent_unordered_code(ball.parent)
+    return tree_ball_code(graph._distances(graph.n_vertices), *graph._ends,
+                          graph.n_vertices)
 
 
 def plane_tree_to_map(tree: PlaneTree) -> RotationMap:
@@ -347,7 +322,7 @@ def rotation_ball_code(m: RotationMap, r: int) -> tuple[bool, Optional[str]]:
         raise ValueError("radius must be >= 0")
     if r == 0:
         return True, ""
-    # BFS over darts, kept apart from Adjacency.ball, which this checks:
+    # BFS over darts, kept apart from root_distances, which this checks:
     # a vertex is a sigma cycle and alpha leads to the next vertex
     cycles = m.vertex_cycles()
     owner = _owner_of(cycles, len(m.sigma))

@@ -11,8 +11,9 @@ here depends on them, but dropping them would misstate the fiber size.
 Everything on the per-sample path is a numpy index array: the tree is its
 Dyck word and preorder parent array, the permutation is a label sequence
 cut into blocks (one block per cycle), and the quotient is two arrays of
-edge endpoints with a compressed adjacency for ball extraction.  The root
-degree needs no quotient: it is read off the decorated tree (root_degree).
+edge endpoints, from which one level pass reads the root distances that
+give the balls of every radius (ball_as_tree).  The root degree needs no
+quotient: it is read off the decorated tree (root_degree).
 The tuple objects (PlaneTree, Permutation, RootedGraph) are built only
 when read.
 
@@ -34,12 +35,11 @@ import numpy as np
 
 from .asymptotics import solve_beta_theta
 from .distributions import XBetaLaw
-from .maps import Adjacency, Permutation, RootedGraph
+from .maps import Permutation, RootedGraph, root_distances, tree_ball_code
 from .trees import (
     PlaneTree,
     dyck_parents,
     dyck_truncation_code,
-    parent_unordered_code,
     sample_dyck_word,
     tree_from_parents,
 )
@@ -175,10 +175,6 @@ class UnicellularSample:
         edges = tuple(zip(self.src.tolist(), self.dst.tolist()))
         return RootedGraph(len(self.fixed_point_mask), edges, root_vertex=0,
                            root_edge=0 if edges else None)
-
-    @cached_property
-    def adjacency(self) -> Adjacency:
-        return Adjacency.build(len(self.fixed_point_mask), self.src, self.dst)
 
 
 @dataclass(frozen=True)
@@ -507,20 +503,40 @@ def root_degree(cdt: CDecoratedTree) -> int:
     return int(np.count_nonzero(in_root[cdt.parent[1:]])) + len(root) - 1
 
 
-def ball_as_tree(sample: UnicellularSample, r: int) -> BallShape:
-    """Extract the radius-r ball and recover its plane structure when legal.
+def ball_as_tree(sample: UnicellularSample, radii: tuple[int, ...]) -> list[BallShape]:
+    """The ball of each radius in radii, with its plane structure when legal.
 
-    The plane structure is read off the source tree only when every ball
-    vertex is a fixed point: then the ball of the quotient is the ball of
-    the tree and the rotations agree vertexwise.
+    Balls nest, so one root_distances pass at the largest radius serves
+    them all: counts of vertices and non-fixed vertices per level, and of
+    edges by the level of their nearer end, give each ball's size and
+    tree test.  The plane structure is read off the source tree only
+    when every ball vertex is a fixed point: then the ball of the quotient
+    is the ball of the tree and the rotations agree vertexwise.  A tree
+    ball of radius 1 is a star, whose codes need no tree.
     """
-    if r < 0:
+    if any(r < 0 for r in radii):
         raise ValueError("radius must be >= 0")
-    ball = sample.adjacency.ball(0, r)
-    n_nonfixed = int(np.count_nonzero(~sample.fixed_point_mask[ball.vertices]))
-    nv = len(ball.vertices)
-    if not ball.is_tree:
-        return BallShape(False, None, None, nv, n_nonfixed, ball.height)
-    plane = dyck_truncation_code(sample.source.word, r) if n_nonfixed == 0 else None
-    return BallShape(True, plane, parent_unordered_code(ball.parent), nv, n_nonfixed,
-                     ball.height)
+    src, dst, mask = sample.src, sample.dst, sample.fixed_point_mask
+    # no ball grows past the vertex count
+    top = min(max(radii), len(mask))
+    dist = root_distances(len(mask), src, dst, 0, top)
+    levels = np.bincount(dist, minlength=top + 2)
+    depth = int(np.count_nonzero(levels[1:top + 1]))
+    seen = np.cumsum(levels)
+    nonfixed = np.cumsum(np.bincount(dist[~mask], minlength=top + 2))
+    inner = np.cumsum(np.bincount(np.minimum(dist[src], dist[dst]), minlength=top + 2))
+    shapes = []
+    for r in radii:
+        r = min(r, top)
+        nv, n_nonfixed, height = int(seen[r]), int(nonfixed[r]), min(r, depth)
+        if r and inner[r - 1] != nv - 1:
+            shapes.append(BallShape(False, None, None, nv, n_nonfixed, height))
+            continue
+        if r <= 1:
+            code = plane = "()" * (nv - 1)
+        else:
+            code = tree_ball_code(dist, src, dst, r)
+            plane = dyck_truncation_code(sample.source.word, r)
+        shapes.append(BallShape(True, plane if n_nonfixed == 0 else None, code, nv,
+                                n_nonfixed, height))
+    return shapes

@@ -10,7 +10,7 @@ is traversed, ")" the second time.  A single vertex has the empty code.
 The sampler keeps that code as a Dyck word, an int8 array of +1 and -1
 steps: its up-steps are a uniform subset of positions cut by the cycle
 lemma (sample_dyck_word).  Depths are read off the up-step positions,
-parents off one stable radix sort of depth keys (dyck_parents), height
+parents off one stable radix sort of the depths (dyck_parents), height
 truncations off a mask; a PlaneTree is built from it only on request.
 """
 
@@ -229,12 +229,11 @@ def dyck_parents(word) -> tuple[np.ndarray, np.ndarray]:
     """(parent, depth) of every vertex of the plane tree of a Dyck word.
 
     Vertex v >= 1 is opened by the v-th up-step, so the numbering is
-    preorder; parent[0] == -1.  The parent of v is the last vertex one
-    level higher opened before v.  In position order each vertex v is a
-    point with key depth[v], and each v >= 1 also a query with key
-    depth[v] - 1 just before its point; one stable sort by key lines up
-    every query after the points of its level opened before it, so the
-    last point at or before a query, a running maximum, is its parent.
+    preorder; parent[0] == -1.  A vertex v one level deeper than v - 1 is
+    a first child, whose parent is v - 1.  Any other vertex has the parent
+    of the vertex before it at its own depth, its previous sibling.  One
+    stable sort by depth puts those two next to each other, and a running
+    maximum carries each first child's slot over its later siblings.
     """
     word = np.asarray(word)
     up = np.flatnonzero(word > 0)
@@ -242,20 +241,14 @@ def dyck_parents(word) -> tuple[np.ndarray, np.ndarray]:
     depth = np.zeros(n + 1, dtype=np.int64)
     # v up-steps and up[v-1] + 1 - v down-steps end at the v-th up-step
     depth[1:] = 2 * np.arange(1, n + 1) - 1 - up
-    # points at even slots, queries at odd slots; the narrow dtype lets
-    # numpy use a radix sort
-    keys = np.empty(2 * n + 1, dtype=np.min_scalar_type(n + 1))
-    keys[0::2] = depth
-    keys[1::2] = depth[1:] - 1
-    order = np.argsort(keys, kind="stable")
-    # each level's first slot is a point: a vertex's parent precedes it
-    last = np.where(order & 1, 0, np.arange(2 * n + 1))
-    np.maximum.accumulate(last, out=last)
-    found = np.empty(2 * n + 1, dtype=np.int64)
-    found[order] = order[last] >> 1
+    # the narrow dtype lets numpy use a radix sort
+    order = np.argsort(depth.astype(np.min_scalar_type(n)), kind="stable")
+    first = np.ones(n + 1, dtype=bool)  # the root heads its own level
+    first[1:] = depth[1:] > depth[:-1]
+    head = np.where(first[order], np.arange(n + 1), 0)
+    np.maximum.accumulate(head, out=head)
     parent = np.empty(n + 1, dtype=np.int64)
-    parent[0] = -1
-    parent[1:] = found[1::2]
+    parent[order] = order[head] - 1
     return parent, depth
 
 

@@ -434,6 +434,25 @@ def test_verify_local_limit_exact_small_case(capsys):
     assert "# passed=True" in out
 
 
+def test_verify_local_limit_repeated_radius_is_usage_error(capsys):
+    # a repeated radius would print and count its sections twice
+    code, out, err = run(capsys, ["verify", "local-limit", "--n", "40", "--g", "5",
+                                  "--r", "1", "1", "--samples", "10"])
+    assert code == 2
+    assert out == ""
+    assert "repeat" in err
+
+
+def test_verify_local_limit_radius_past_the_vertex_count(capsys):
+    # the ball stops growing at the vertex count, so no radius overflows
+    # int64; it is then the whole graph, which at genus 5 has cycles
+    code, out, _ = run(capsys, ["verify", "local-limit", "--n", "40", "--g", "5",
+                                "--r", "1", "99999999999999999999", "--samples", "20"])
+    assert code == 0
+    assert "# radii=1,99999999999999999999\n" in out
+    assert "# mass.nontree_r99999999999999999999=1.0\n" in out
+
+
 def test_verify_root_degree_failure_exits_one(capsys):
     code, out, _ = run(capsys, ["verify", "root-degree", "--n", "4",
                                 "--g", "1", "--samples", "200",

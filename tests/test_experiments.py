@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,18 @@ def test_exact_small_mode():
     assert report.tv_of("exact_r2") == 0.0
     for row in report.rows:
         assert row.observed == row.expected
+
+
+def test_build_id_reads_the_sources_without_a_subprocess(monkeypatch):
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("build_id started a subprocess")
+
+    monkeypatch.setattr(subprocess, "run", no_subprocess)
+    build_id.cache_clear()
+    first = build_id()
+    build_id.cache_clear()
+    assert build_id() == first
+    assert re.fullmatch(r"unimaps-.+\+[0-9a-f]{8}", first)
 
 
 def test_report_headers_and_formats():

@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from unimaps import sampler as sampler_module
 from unimaps.counting import odd_partitions, perm_count_for_type
-from unimaps.maps import Permutation, ball_with_vertices, graph_tree_unordered_code
+from unimaps.maps import (
+    Permutation,
+    ball_with_vertices,
+    graph_tree_unordered_code,
+    root_distances,
+)
 from unimaps.sampler import (
     OddCyclePermutationSampler,
     _quotient,
@@ -70,10 +75,10 @@ def test_samples_are_connected_maps_of_their_size(seed):
             v = n + 1 - 2 * g
             assert s.graph.n_vertices == v
             assert len(s.graph.edges) == n
-            assert int(np.diff(s.adjacency.start).sum()) == 2 * n
+            assert int(np.bincount(np.concatenate((s.src, s.dst)), minlength=v).sum()) == 2 * n
             assert s.graph.root_vertex == 0 and s.graph.root_edge == 0
             assert s.graph.edges[0][0] == 0
-            assert len(s.adjacency.ball(0, n).vertices) == v, (n, g)
+            assert np.count_nonzero(root_distances(v, s.src, s.dst, 0, n) <= n) == v, (n, g)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
@@ -99,10 +104,12 @@ def test_balls_nest(seed):
     for n in range(1, 13):
         for g in range(n // 2 + 1):
             [s] = sample_unicellular(n, g, rng, 1)
+            v = len(s.fixed_point_mask)
             for r in range(4):
-                inner, outer = s.adjacency.ball(0, r), s.adjacency.ball(0, r + 1)
-                dist = dict(zip(outer.vertices, outer.dist))
-                assert all(dist.get(v) == d for v, d in zip(inner.vertices, inner.dist)), (n, g, r)
+                inner = root_distances(v, s.src, s.dst, 0, r)
+                outer = root_distances(v, s.src, s.dst, 0, r + 1)
+                ball = inner <= r
+                assert np.array_equal(outer[ball], inner[ball]), (n, g, r)
 
 
 def test_root_degree_counts_loops_twice():
@@ -115,7 +122,7 @@ def test_root_degree_counts_loops_twice():
 def test_planar_balls_are_clean_trees():
     rng = np.random.default_rng(5)
     for s in sample_unicellular(7, 0, rng, 25):
-        shape = ball_as_tree(s, 2)
+        [shape] = ball_as_tree(s, (2,))
         assert shape.is_tree
         assert not shape.merged
         assert shape.plane_code is not None
@@ -126,7 +133,7 @@ def test_planar_balls_are_clean_trees():
 def test_one_vertex_torus_ball_is_never_a_tree():
     rng = np.random.default_rng(6)
     for s in sample_unicellular(2, 1, rng, 20):
-        shape = ball_as_tree(s, 1)
+        [shape] = ball_as_tree(s, (1,))
         assert not shape.is_tree
         assert shape.unordered_code is None
 
@@ -136,7 +143,7 @@ def test_nonfixed_accounting():
     for s in sample_unicellular(8, 2, rng, 20):
         mask = s.fixed_point_mask
         nonfixed_total = sum(1 for fixed in mask if not fixed)
-        shape = ball_as_tree(s, 1)
+        [shape] = ball_as_tree(s, (1,))
         assert 0 <= shape.n_nonfixed <= nonfixed_total
         assert shape.n_vertices <= s.graph.n_vertices
 
@@ -230,7 +237,7 @@ def _reference_ball(graph, mask, r):
     return is_tree, code(graph.root_vertex) if is_tree else None, len(inside), nonfixed
 
 
-def test_csr_ball_matches_full_bfs_reference():
+def test_balls_of_all_radii_match_full_bfs_reference():
     rng = np.random.default_rng(31)
     loops = multi = 0
     for _ in range(300):
@@ -240,8 +247,9 @@ def test_csr_ball_matches_full_bfs_reference():
         graph = sample.graph
         loops += any(u == v for u, v in graph.edges)
         multi += len(set(map(frozenset, graph.edges))) < len(graph.edges)
-        for r in range(4):
-            shape = ball_as_tree(sample, r)
+        shapes = dict(zip((3, 0, 2, 1), ball_as_tree(sample, (3, 0, 2, 1))))
+        for r, shape in enumerate(ball_as_tree(sample, (0, 1, 2, 3))):
+            assert shapes[r] == shape
             expected = _reference_ball(graph, sample.fixed_point_mask, r)
             assert (shape.is_tree, shape.unordered_code, shape.n_vertices,
                     shape.n_nonfixed) == expected
