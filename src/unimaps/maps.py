@@ -199,15 +199,16 @@ def root_distances(n_vertices: int, src: np.ndarray, dst: np.ndarray, root: int,
     This is the one ball implementation: the radius-r ball is the vertices
     with dist <= r and the edges with an end at dist < r, so an edge
     joining two vertices at distance exactly r is not in it, nor is a
-    loop on the boundary.  r is clipped to n_vertices, past which no ball
-    grows, and every vertex farther than the clipped r gets r + 1.  One
-    numpy pass per level gathers the frontier's edge ends; it stops at
-    radius r or at an empty level, so a whole component costs
-    O((V + E) * depth), fine for the small graphs of tests and checks.
+    loop on the boundary.  Every vertex farther than r gets r + 1.  No
+    ball grows past radius n_vertices - 1, so r must lie in
+    0..n_vertices: callers clip a larger radius first and compare with
+    the clipped one.  One numpy pass per level gathers the frontier's
+    edge ends; it stops at radius r or at an empty level, so a whole
+    component costs O((V + E) * depth), fine for the small graphs of
+    tests and checks.
     """
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    r = min(r, n_vertices)
+    if not 0 <= r <= n_vertices:
+        raise ValueError("radius must be in 0..n_vertices")
     dist = np.full(n_vertices, r + 1, dtype=np.int64)
     dist[root] = 0
     frontier = np.zeros(n_vertices, dtype=bool)
@@ -253,8 +254,8 @@ def ball_with_vertices(graph: RootedGraph, r: int) -> tuple[RootedGraph, list[in
     their original order, which makes ball(ball(G, r'), r) == ball(G, r)
     for r <= r'.
     """
-    dist = graph._distances(r)
     r = min(r, graph.n_vertices)
+    dist = graph._distances(r)
     src, dst = graph._ends
     keep = np.flatnonzero(dist <= r)
     relabel = np.zeros(graph.n_vertices, dtype=np.int64)

@@ -532,11 +532,9 @@ def ball_as_tree(sample: UnicellularSample, radii: tuple[int, ...]) -> list[Ball
         if r and inner[r - 1] != nv - 1:
             shapes.append(BallShape(False, None, None, nv, n_nonfixed, height))
             continue
-        if r <= 1:
-            code = plane = "()" * (nv - 1)
-        else:
-            code = tree_ball_code(dist, src, dst, r)
-            plane = dyck_truncation_code(sample.source.word, r)
-        shapes.append(BallShape(True, plane if n_nonfixed == 0 else None, code, nv,
-                                n_nonfixed, height))
+        code = "()" * (nv - 1) if r <= 1 else tree_ball_code(dist, src, dst, r)
+        plane = None
+        if n_nonfixed == 0:
+            plane = code if r <= 1 else dyck_truncation_code(sample.source.word, r)
+        shapes.append(BallShape(True, plane, code, nv, n_nonfixed, height))
     return shapes

@@ -78,7 +78,7 @@ def test_samples_are_connected_maps_of_their_size(seed):
             assert int(np.bincount(np.concatenate((s.src, s.dst)), minlength=v).sum()) == 2 * n
             assert s.graph.root_vertex == 0 and s.graph.root_edge == 0
             assert s.graph.edges[0][0] == 0
-            assert np.count_nonzero(root_distances(v, s.src, s.dst, 0, n) <= n) == v, (n, g)
+            assert np.all(root_distances(v, s.src, s.dst, 0, v) < v), (n, g)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
@@ -105,11 +105,23 @@ def test_balls_nest(seed):
         for g in range(n // 2 + 1):
             [s] = sample_unicellular(n, g, rng, 1)
             v = len(s.fixed_point_mask)
-            for r in range(4):
+            # no ball grows past radius v - 1
+            for r in range(min(4, v)):
                 inner = root_distances(v, s.src, s.dst, 0, r)
                 outer = root_distances(v, s.src, s.dst, 0, r + 1)
                 ball = inner <= r
                 assert np.array_equal(outer[ball], inner[ball]), (n, g, r)
+
+
+def test_root_distances_mark_unreached_vertices():
+    # a path 0-1-2 with a loop at 2, and the edge 3-4 out of reach
+    src, dst = np.array([0, 1, 2, 3]), np.array([1, 2, 2, 4])
+    assert root_distances(5, src, dst, 0, 5).tolist() == [0, 1, 2, 6, 6]
+    assert root_distances(5, src, dst, 0, 1).tolist() == [0, 1, 2, 2, 2]
+    assert root_distances(5, src, dst, 0, 0).tolist() == [0, 1, 1, 1, 1]
+    for r in (-1, 6):
+        with pytest.raises(ValueError):
+            root_distances(5, src, dst, 0, r)
 
 
 def test_root_degree_counts_loops_twice():
