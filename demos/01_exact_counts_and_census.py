@@ -4,11 +4,16 @@ Exact one-face map counts, three independent ways
 
 A one-face map with n edges lives on a surface of genus g and has
 n + 1 - 2g vertices.  This demo counts them with the closed formula
-and with a cycle-count recurrence, then checks both against
-brute-force polygon gluing.
+(through a cycle-count recurrence), checks it against brute-force
+polygon gluing and against the Harer-Zagier recurrence.
 """
 
-from unimaps.counting import double_factorial, lehman_walsh_count
+from unimaps.counting import (
+    double_factorial,
+    harer_zagier_rows,
+    lehman_walsh_count,
+    lehman_walsh_row,
+)
 from unimaps.oracle import census
 
 # the closed formula, evaluated in exact integer arithmetic
@@ -34,12 +39,11 @@ for g, count in result.counts.items():
     assert count == lehman_walsh_count(6, g)
 print("formula and census agree at every genus")
 
-# the two formula routes are independent implementations; cross-check
-# them somewhere the census cannot reach
+# the Harer-Zagier recurrence counts the same maps as polygon gluings
+# through a matrix integral and shares no code with the formula;
+# cross-check the two somewhere the census cannot reach
 n = 40
-for g in (0, 5, 10, 20):
-    a = lehman_walsh_count(n, g, method="partition")
-    b = lehman_walsh_count(n, g, method="dp")
-    assert a == b
-print(f"\npartition and recurrence routes agree at n={n}")
+*_, row = harer_zagier_rows(n)
+assert row == lehman_walsh_row(n)
+print(f"\nHarer-Zagier and recurrence routes agree at every genus of n={n}")
 print(f"for scale, count(40, 10) has {len(str(lehman_walsh_count(40, 10)))} digits")

@@ -18,9 +18,6 @@ from .maps import (
     unfolding_ball_code,
 )
 from .counting import (
-    OddPartition,
-    odd_partitions,
-    perm_count_for_type,
     odd_cycle_perm_count,
     lehman_walsh_count,
     lehman_walsh_row,

@@ -17,16 +17,16 @@ and differentiating it in x gives the two-term recurrence
 which odd_cycle_perm_count runs in one iterative pass: O(m*j) big-int
 additions and small multiplications, two rows, no recursion.  One pass
 over the whole band gives every j at once, so lehman_walsh_row counts
-all genera of n in O(n^2) steps.  The
-partition route (a sum of m! / prod(m_i! * i^m_i) over the partitions
-of m into j odd parts) is kept as the independent reference that the
-tests compare against.  Everything here is exact integer arithmetic.
+all genera of n in O(n^2) steps.
+
+harer_zagier_rows is the independent reference that the tests compare
+against.  It counts the same maps as gluings of a 2n-gon, epsilon_g(n),
+through the Harer-Zagier recurrence (from a Gaussian matrix integral),
+and shares no code or formula with the route above.  Everything here is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 from .trees import catalan
 
@@ -40,79 +40,6 @@ def double_factorial(k: int) -> int:
         out *= k
         k -= 2
     return out
-
-
-@dataclass(frozen=True)
-class OddPartition:
-    """Partition of ``total`` into odd parts, stored in decreasing order."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(p <= 0 or p % 2 == 0 for p in self.parts):
-            raise ValueError("parts must be positive odd integers")
-        if list(self.parts) != sorted(self.parts, reverse=True):
-            raise ValueError("parts must be in decreasing order")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def multiplicities(self) -> dict[int, int]:
-        mult: dict[int, int] = {}
-        for p in self.parts:
-            mult[p] = mult.get(p, 0) + 1
-        return mult
-
-
-def odd_partitions(total: int, s: int):
-    """Yield all partitions of ``total`` into exactly ``s`` odd parts.
-
-    Empty unless s <= total and total == s (mod 2).  Subtracting one from
-    every part and halving gives a partition of (total-s)/2 into at most
-    s parts, so the number of results is p_{<=s}((total-s)/2).
-    """
-    if s < 0 or total < 0:
-        raise ValueError("total and s must be >= 0")
-    if s == 0:
-        if total == 0:
-            yield OddPartition(())
-        return
-    if total < s or (total - s) % 2 != 0:
-        return
-
-    def gen(remaining, k, maxpart):
-        if k == 1:
-            if remaining <= maxpart and remaining % 2 == 1:
-                yield (remaining,)
-            return
-        p = min(maxpart, remaining - (k - 1))
-        if p % 2 == 0:
-            p -= 1
-        while p >= 1 and p * k >= remaining:
-            for rest in gen(remaining - p, k - 1, p):
-                yield (p,) + rest
-            p -= 2
-
-    for parts in gen(total, s, total):
-        yield OddPartition(parts)
-
-
-def perm_count_for_type(partition: OddPartition, m: int) -> int:
-    """Number of permutations of m symbols with the given cycle type:
-    m! / prod over part sizes i of (m_i! * i^m_i)."""
-    if partition.total != m:
-        raise ValueError("partition must sum to m")
-    denom = 1
-    for i, mi in partition.multiplicities().items():
-        denom *= math.factorial(mi) * i**mi
-    q, r = divmod(math.factorial(m), denom)
-    assert r == 0
-    return q
 
 
 def _odd_cycle_band(m: int, b_lo: int, b_hi: int) -> list[int]:
@@ -153,26 +80,19 @@ def lehman_walsh_count(n: int, g: int, method: str = "dp") -> int:
     """Exact number of one-face maps with n edges and genus g.
 
     catalan(n) * a(n+1, s) / 4^g with s = n+1-2g, which must divide
-    exactly.  method 'dp' (the default, used for every (n, g)) takes
-    a(n+1, s) from the two-term recurrence of odd_cycle_perm_count:
-    O(n*s) big-int steps and no recursion, so it also serves
-    linear-genus sizes such as (2000, 500).  method 'partition' sums
-    perm_count_for_type over odd_partitions; it shares no code with the
-    recurrence and is the reference the tests compare against, but its
-    cost grows with the number of partitions of g.
+    exactly.  a(n+1, s) comes from the two-term recurrence of
+    odd_cycle_perm_count: O(n*s) big-int steps and no recursion, so it
+    also serves linear-genus sizes such as (2000, 500).  'dp' is the only
+    method; any other raises ValueError.
     """
+    if method != "dp":
+        raise ValueError(f"unknown method {method!r}")
     if n < 0 or g < 0:
         raise ValueError("n and g must be >= 0")
     s = n + 1 - 2 * g
     if s <= 0:
         return 0
-    if method == "partition":
-        perms = sum(perm_count_for_type(p, n + 1) for p in odd_partitions(n + 1, s))
-    elif method == "dp":
-        perms = odd_cycle_perm_count(n + 1, s)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    q, r = divmod(catalan(n) * perms, 4**g)
+    q, r = divmod(catalan(n) * odd_cycle_perm_count(n + 1, s), 4**g)
     assert r == 0, "count must be an integer"
     return q
 
@@ -189,3 +109,38 @@ def lehman_walsh_row(n: int) -> list[int]:
     plane = catalan(n)
     return [plane * perms // 4**g
             for g, perms in enumerate(_odd_cycle_band(n + 1, 0, n // 2))]
+
+
+def harer_zagier_rows(n_max: int):
+    """Yield [epsilon_g(n) for g = 0..n//2] for n = 0..n_max.
+
+    epsilon_g(n) counts the gluings of a 2n-gon into a surface of genus g,
+    which is the number of one-face maps with n edges and genus g.  Rows
+    come from epsilon_0(0) = epsilon_0(1) = 1 and the Harer-Zagier
+    recurrence
+
+        (n+1) e_g(n) = 2(2n-1) e_g(n-1) + (n-1)(2n-1)(2n-3) e_{g-1}(n-2),
+
+    holding two rows at a time.  It calls no other counting helper, so it
+    is an independent check of lehman_walsh_row; every division is
+    checked exact.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    older, old = [1], [1]
+    yield older
+    if n_max >= 1:
+        yield old
+    for n in range(2, n_max + 1):
+        a, b = 2 * (2 * n - 1), (n - 1) * (2 * n - 1) * (2 * n - 3)
+        row = []
+        for g in range(n // 2 + 1):
+            total = a * old[g] if g < len(old) else 0
+            if g:
+                total += b * older[g - 1]
+            q, r = divmod(total, n + 1)
+            if r:
+                raise ArithmeticError(f"Harer-Zagier division inexact at (n, g) = ({n}, {g})")
+            row.append(q)
+        older, old = old, row
+        yield row

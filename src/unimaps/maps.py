@@ -10,7 +10,6 @@ over its edge arrays.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -57,16 +56,6 @@ class Permutation:
                 j = self.image[j]
             out.append(tuple(cyc))
         return out
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths in decreasing order."""
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
-    def fixed_points(self) -> list[int]:
-        return [i for i, j in enumerate(self.image) if i == j]
-
-    def has_all_odd_cycles(self) -> bool:
-        return all(len(c) % 2 == 1 for c in self.cycles())
 
 
 @dataclass(frozen=True)
@@ -179,16 +168,6 @@ class RootedGraph:
         if len(self.edges) != self.n_vertices - 1:
             return False
         return bool(np.all(self._distances(self.n_vertices) < self.n_vertices))
-
-    @staticmethod
-    def from_json(text: str) -> "RootedGraph":
-        obj = json.loads(text)
-        return RootedGraph(
-            obj["v"],
-            tuple((u, v) for u, v in obj["edges"]),
-            obj["root_vertex"],
-            obj["root_edge"],
-        )
 
 
 def root_distances(n_vertices: int, src: np.ndarray, dst: np.ndarray, root: int,

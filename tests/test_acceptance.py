@@ -50,16 +50,6 @@ def test_closed_form_counts_match_exhaustive_enumeration():
     assert lehman_walsh_count(2, 1) == 1
 
 
-def test_partition_and_recurrence_count_routes_agree():
-    for n in range(1, 13):
-        for g in range(n // 2 + 1):
-            assert (lehman_walsh_count(n, g, method="partition")
-                    == lehman_walsh_count(n, g, method="dp"))
-    for n in range(1, 8):
-        total = sum(lehman_walsh_count(n, g) for g in range(n // 2 + 1))
-        assert total == double_factorial(2 * n - 1)
-
-
 def test_growth_rate_solver_satisfies_defining_identities():
     start = time.perf_counter()
     for theta in np.linspace(0.005, 0.49, 50):

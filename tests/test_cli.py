@@ -136,7 +136,8 @@ def test_sample_jsonl_shape_and_determinism(capsys, tmp_path):
         obj = json.loads(line)
         assert obj["v"] == 6 + 1 - 2 * 1
         assert len(obj["edges"]) == 6
-        graph = RootedGraph.from_json(line)
+        graph = RootedGraph(obj["v"], tuple((u, v) for u, v in obj["edges"]),
+                            obj["root_vertex"], obj["root_edge"])
         assert graph.n_vertices == obj["v"]
         cdt = obj["cdt"]
         assert len(cdt["tree"]) == 12

@@ -19,10 +19,7 @@ def test_permutation_basics():
     p = Permutation((1, 2, 0, 4, 3))
     assert len(p) == 5
     assert p(0) == 1
-    assert p.cycle_type() == (3, 2)
-    assert p.fixed_points() == []
-    assert not p.has_all_odd_cycles()
-    assert Permutation((1, 2, 0)).has_all_odd_cycles()
+    assert p.cycles() == [(0, 1, 2), (3, 4)]
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
 

@@ -1,13 +1,14 @@
 """Uniform map sampler built from decorated trees."""
 
+import math
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from unimaps import sampler as sampler_module
-from unimaps.counting import odd_partitions, perm_count_for_type
 from unimaps.maps import (
     Permutation,
     ball_with_vertices,
@@ -173,8 +174,13 @@ def test_determinism_by_seed():
 # the last TAIL sizes are split from the rest
 @pytest.mark.parametrize("m,s", [(7, 3), (9, 3), (13, 3), (15, 5), (21, 7), (41, 5)])
 def test_cycle_type_frequencies_match_exact_law(m, s):
-    # P(type) is the share of odd-cycle permutations with that cycle type
-    weights = {p.parts: perm_count_for_type(p, m) for p in odd_partitions(m, s)}
+    # P(type) is the share of odd-cycle permutations with that cycle type,
+    # whose count is Cauchy's m! / prod over lengths k of (c_k! * k^c_k)
+    weights = {}
+    for parts in combinations_with_replacement(range(1, m + 1, 2), s):
+        if sum(parts) == m:
+            denom = math.prod(math.factorial(c) * k**c for k, c in Counter(parts).items())
+            weights[parts[::-1]] = math.factorial(m) // denom
     total = sum(weights.values())
     probs = {parts: w / total for parts, w in weights.items()}
     rng = np.random.default_rng(1000 + m)
