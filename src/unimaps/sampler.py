@@ -9,25 +9,30 @@ uniformity transfers.  Signs are stored untouched: no statistic computed
 here depends on them, but dropping them would misstate the fiber size.
 
 Everything on the per-sample path is a numpy index array: the tree is its
-Dyck word and preorder parent array, the permutation is a label sequence
-cut into blocks (one block per cycle), and the quotient is two arrays of
-edge endpoints, from which one level pass reads the root distances that
-give the balls of every radius (ball_as_tree).  The root degree needs no
-quotient: it is read off the decorated tree (root_degree).
-The tuple objects (PlaneTree, Permutation, RootedGraph) are built only
-when read.
+Dyck word with one depth array read off it (parents and height
+truncations read the depths), the permutation is a label sequence cut
+into blocks (one block per cycle, the root's first), and the quotient is
+two arrays of edge endpoints, from which one level pass reads the root
+distances that give the balls of every radius (ball_as_tree).  The root
+degree needs no quotient: it is read off the decorated tree and its
+first block (root_degree).  The tuple objects (PlaneTree, Permutation,
+RootedGraph) are built only when read.
 
 Cycle sizes come from rejection on all but the last TAIL of them, those
 drawn exactly given their sum, and every accepted try of a block is kept
-(see OddCyclePermutationSampler).  Map draws are iterators: they take
-their sizes and labels a chunk of about MAP_CHUNK_ENTRIES label entries
-at a time, and draw the tree and quotient of each sample as it is read.
+(see OddCyclePermutationSampler).  Map draws are iterators: one call
+draws the cycle sizes and signs of SIZE_ROWS samples, in small-int
+dtypes, and each sample's labels, tree and quotient are drawn as it is
+read.  At n = 2000 and g from 100 to 900 that costs, per sample, 17 to
+69 microseconds for the sizes, 27 to 34 for the labels, 48 to 50 for
+the Dyck word and 47 to 58 for the validation (one core of a shared
+2-core x86_64 host).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator
 
@@ -38,6 +43,7 @@ from .distributions import XBetaLaw
 from .maps import Permutation, RootedGraph, root_distances, tree_ball_code
 from .trees import (
     PlaneTree,
+    dyck_depths,
     dyck_parents,
     dyck_truncation_code,
     sample_dyck_word,
@@ -76,27 +82,35 @@ def _block_images(labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 class CDecoratedTree:
     """Plane tree + all-odd-cycle vertex permutation + one sign per cycle.
 
-    word is the tree's Dyck word, the one source of the tree: parent, its
-    preorder parent array (parent[0] == -1), is read off it on first use.
-    The permutation is labels cut into consecutive blocks of the given odd
-    sizes, each block one cycle (see _block_images); cycle_signs holds
-    one sign per block.  tree, perm and signs give the tuple forms, built
-    on first read.
+    word is the tree's Dyck word, the one source of the tree: depth, the
+    depth of every vertex in preorder, is read off it once, by the
+    validation, and parent, the preorder parent array (parent[0] == -1),
+    off depth on first use.  The permutation is labels cut into
+    consecutive blocks of the given odd sizes, each block one cycle (see
+    _block_images); labels[0] is the tree root 0, so the first block is
+    the root's cycle.  cycle_signs holds one sign per block.  tree, perm
+    and signs give the tuple forms, built on first read.
     """
 
     word: np.ndarray
     labels: np.ndarray
     sizes: np.ndarray
     cycle_signs: np.ndarray
+    depth: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = len(self.labels)
-        heights = np.cumsum(self.word, dtype=np.int64)
+        depth = dyck_depths(self.word)
+        # a +-1 word of length 2(m - 1) with m - 1 up-steps is a Dyck word
+        # exactly when every vertex past the root has depth >= 1
         if (len(self.word) != 2 * (m - 1) or not np.all(np.abs(self.word) == 1)
-                or (m > 1 and (heights.min() < 0 or heights[-1] != 0))):
+                or len(depth) != m or depth[1:].min(initial=1) < 1):
             raise ValueError("tree word must be a Dyck word on the vertex count")
+        object.__setattr__(self, "depth", depth)
         if not np.array_equal(np.bincount(self.labels, minlength=m), np.ones(m)):
             raise ValueError("labels must be a permutation of the vertices")
+        if self.labels[0] != 0:
+            raise ValueError("the first block must start at the tree root, label 0")
         if (np.any(self.sizes < 1) or np.any(self.sizes % 2 == 0)
                 or int(self.sizes.sum()) != m):
             raise ValueError("cycle sizes must be odd and sum to the vertex count")
@@ -119,7 +133,7 @@ class CDecoratedTree:
 
     @cached_property
     def parent(self) -> np.ndarray:
-        return dyck_parents(self.word)[0]
+        return dyck_parents(self.depth)
 
     @cached_property
     def tree(self) -> PlaneTree:
@@ -211,10 +225,11 @@ CHUNK_ENTRIES = 2 ** 16
 # more convolutions but is close only for many cycles: at (m, s) =
 # (2001, 5) it predicts 0.198 for a measured 0.077.
 EXACT_HIT_MAX = 8
-# Map draws take their cycle sizes and labels at most this many label
-# entries at a time (4 samples at n = 2000): larger chunks raised the
-# peak RSS of a root-degree run by about 100 KB per sample in the chunk.
-MAP_CHUNK_ENTRIES = 2 ** 13
+# Map draws take the cycle sizes of this many samples per size call, one
+# small-int row each: the fixed cost of a block of tries is shared by
+# the rows, and 32 or 64 rows were no faster but held 0.7-1.5 MB more
+# in the int64 temporaries of a block.
+SIZE_ROWS = 16
 
 
 class _SizeLaw:
@@ -229,11 +244,13 @@ class _SizeLaw:
     halving sizes a (1, 2, 4 and j), rev[a] the same row reversed and
     padded with top zeros, from which a split reads its weights.  qmax is
     the largest rows[j] entry a try can reach, accept the expected
-    acceptance of a try and block the most tries one block holds.
+    acceptance of a try and block the most tries one block holds.  dtype,
+    the smallest signed integer type that holds m, holds the excesses and
+    sizes a draw returns.
     """
 
     __slots__ = ("top", "j", "k", "pvals", "cum", "rows", "rev", "qmax", "accept",
-                 "block")
+                 "block", "dtype")
 
     def __init__(self, **tables):
         for name, value in tables.items():
@@ -285,7 +302,7 @@ def _size_law(m: int, s: int) -> _SizeLaw:
     # a try holds its multinomial row, its tail values and a few scalars
     block = max(1, int(CHUNK_ENTRIES // (costs[h] + 8)))
     return _SizeLaw(top=top, j=j, k=k, pvals=pvals, cum=cum, rows=rows, rev=rev,
-                    qmax=qmax, accept=accept, block=block)
+                    qmax=qmax, accept=accept, block=block, dtype=np.min_scalar_type(-m))
 
 
 def _split(law: _SizeLaw, rng: np.random.Generator, a: int,
@@ -319,9 +336,9 @@ def _split(law: _SizeLaw, rng: np.random.Generator, a: int,
 
 def _accepted_tries(law: _SizeLaw, rng: np.random.Generator, want: int) -> np.ndarray:
     """One block of tries: the excesses of its first at most want
-    accepted tries, one row each, in try order."""
+    accepted tries, one row each, in try order, in law.dtype."""
     if not law.k:
-        return _split(law, rng, law.j, np.full(min(want, law.block), law.top, dtype=np.int64))
+        return _split(law, rng, law.j, np.full(min(want, law.block), law.top, dtype=law.dtype))
     # about two standard deviations of hits more than wanted, so that one
     # block usually serves the whole call
     tries = int(min(math.ceil((want + 2 * math.sqrt(want)) / law.accept), law.block))
@@ -341,9 +358,11 @@ def _accepted_tries(law: _SizeLaw, rng: np.random.Generator, want: int) -> np.nd
     n_tail = n_tail[hits]
     first = ends[hits] - n_tail
     picks = np.repeat(first - np.cumsum(n_tail) + n_tail, n_tail) + np.arange(n_tail.sum())
-    head = np.repeat(np.tile(np.append(np.arange(h), -1), len(hits)), counts[hits].ravel())
+    marks = np.append(np.arange(h), -1).astype(law.dtype)
+    head = np.repeat(np.tile(marks, len(hits)), counts[hits].ravel())
     head[head < 0] = tail[picks]
-    return np.hstack((head.reshape(len(hits), law.k), _split(law, rng, law.j, rho[hits])))
+    return np.hstack((head.reshape(len(hits), law.k),
+                      _split(law, rng, law.j, rho[hits].astype(law.dtype))))
 
 
 class OddCyclePermutationSampler:
@@ -407,13 +426,12 @@ class OddCyclePermutationSampler:
         self._law = _size_law(m, s) if 1 < s < m else None
 
     def sample_sizes(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """(size, s) cycle sizes, one draw per row."""
+        """(size, s) cycle sizes, one draw per row, in the smallest signed
+        dtype that holds m."""
         m, s = self.m, self.s
-        if s == m:
-            return np.ones((size, m), dtype=np.int64)
-        if s == 1:
-            return np.full((size, 1), m, dtype=np.int64)
-        out = np.empty((size, s), dtype=np.int64)
+        if s == m or s == 1:
+            return np.full((size, s), m // s, dtype=np.min_scalar_type(-m))
+        out = np.empty((size, s), dtype=self._law.dtype)
         done = 0
         while done < size:
             excess = _accepted_tries(self._law, rng, size - done)
@@ -423,19 +441,14 @@ class OddCyclePermutationSampler:
             done += len(excess)
         return out
 
-    def sample_blocks(self, rng: np.random.Generator,
-                      size: int) -> tuple[np.ndarray, np.ndarray]:
-        """(labels, sizes), one draw per row: uniform label sequences and
-        the block sizes that cut them into the cycles."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """(size, m) permutation images, one draw per row: uniform label
+        sequences cut into cycles by the drawn sizes."""
         sizes = self.sample_sizes(rng, size)
         labels = np.empty((size, self.m), dtype=np.int64)
         for row in labels:
             row[:] = rng.permutation(self.m)
-        return labels, sizes
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """(size, m) permutation images, one draw per row."""
-        return _block_images(*self.sample_blocks(rng, size))
+        return _block_images(labels, sizes)
 
 
 def sample_odd_cycle_permutation(m: int, s: int, rng: np.random.Generator,
@@ -443,39 +456,52 @@ def sample_odd_cycle_permutation(m: int, s: int, rng: np.random.Generator,
     return OddCyclePermutationSampler(m, s).sample(rng, size)
 
 
+def _root_block_first(sizes: np.ndarray, m: int, rng: np.random.Generator) -> None:
+    """Swap into column 0 of each row of sizes (rows summing to m) the
+    block that a uniform position in 0..m-1 falls in.
+
+    That block is picked with probability size / m, the law of the block
+    that holds the root 0 in a uniform label sequence.  Block order does
+    not matter (see OddCyclePermutationSampler), so labels with the root
+    at position 0 and the others in uniform order, cut by the swapped
+    row, give a uniform permutation of the drawn cycle type whose first
+    block is the root's cycle.
+    """
+    ends = np.cumsum(sizes, axis=1, dtype=sizes.dtype)
+    at = rng.integers(0, m, size=(len(sizes), 1))
+    block = np.count_nonzero(ends <= at, axis=1)
+    rows = np.arange(len(sizes))
+    sizes[rows, 0], sizes[rows, block] = sizes[rows, block], sizes[rows, 0]
+
+
 def _decorated_trees(sampler: OddCyclePermutationSampler, rng: np.random.Generator,
                      size: int) -> Iterator[CDecoratedTree]:
-    m, s = sampler.m, sampler.s
-    rows = max(1, MAP_CHUNK_ENTRIES // m)
-    for start in range(0, size, rows):
-        labels, sizes = sampler.sample_blocks(rng, min(rows, size - start))
-        signs = 2 * rng.integers(0, 2, size=sizes.shape) - 1
-        for i in range(len(sizes)):
-            yield CDecoratedTree(sample_dyck_word(m - 1, rng), labels[i], sizes[i], signs[i])
+    m = sampler.m
+    for start in range(0, size, SIZE_ROWS):
+        sizes = sampler.sample_sizes(rng, min(SIZE_ROWS, size - start))
+        _root_block_first(sizes, m, rng)
+        signs = 2 * rng.integers(0, 2, size=sizes.shape, dtype=np.int8) - 1
+        for row, row_signs in zip(sizes, signs):
+            labels = np.arange(m)
+            rng.shuffle(labels[1:])
+            yield CDecoratedTree(sample_dyck_word(m - 1, rng), labels, row, row_signs)
 
 
 def sample_c_decorated_tree(n: int, g: int, rng: np.random.Generator,
                             size: int) -> Iterator[CDecoratedTree]:
-    """size uniform decorated trees, drawn a chunk of cycle sizes and
-    labels at a time as the iterator is read."""
+    """size uniform decorated trees, drawn as the iterator is read: the
+    cycle sizes and signs of SIZE_ROWS samples per call, the labels and
+    tree of each sample when it is yielded."""
     if g < 0 or 2 * g > n:
         raise ValueError(f"need 0 <= 2g <= n, got n={n}, g={g}")
     return _decorated_trees(OddCyclePermutationSampler(n + 1, n + 1 - 2 * g), rng, size)
 
 
 def _quotient(cdt: CDecoratedTree) -> UnicellularSample:
-    s = len(cdt.sizes)
+    # the first block holds the root, so the root's cycle is graph vertex 0
     cls = np.empty(len(cdt.labels), dtype=np.int64)
-    cls[cdt.labels] = np.repeat(np.arange(s), cdt.sizes)
-    fixed = cdt.sizes == 1
-    root = cls[0]
-    if root:
-        # the root's cycle becomes graph vertex 0
-        swap = np.arange(s)
-        swap[[0, root]] = root, 0
-        cls = swap[cls]
-        fixed[[0, root]] = fixed[[root, 0]]
-    return UnicellularSample(cdt, cls[cdt.parent[1:]], cls[1:], fixed)
+    cls[cdt.labels] = np.repeat(np.arange(len(cdt.sizes)), cdt.sizes)
+    return UnicellularSample(cdt, cls[cdt.parent[1:]], cls[1:], cdt.sizes == 1)
 
 
 def sample_unicellular(n: int, g: int, rng: np.random.Generator,
@@ -489,15 +515,13 @@ def root_degree(cdt: CDecoratedTree) -> int:
     """Edge-endpoints at the root vertex of the quotient of cdt; loops
     count twice.
 
-    The root vertex is the block R of labels that holds the tree root 0.
-    Tree edge (parent[v], v) becomes the quotient edge (cls[parent[v]],
-    cls[v]), so the degree counts the v >= 1 whose parent lies in R, plus
-    the |R| - 1 non-root vertices of R: the tree degrees summed over R,
-    read without building the quotient.
+    The root vertex is the first block R of labels, which holds the tree
+    root 0.  Tree edge (parent[v], v) becomes the quotient edge
+    (cls[parent[v]], cls[v]), so the degree counts the v >= 1 whose parent
+    lies in R, plus the |R| - 1 non-root vertices of R: the tree degrees
+    summed over R, read without building the quotient.
     """
-    ends = np.cumsum(cdt.sizes)
-    block = int(np.searchsorted(ends, int(np.argmin(cdt.labels)), side="right"))
-    root = cdt.labels[ends[block] - cdt.sizes[block]:ends[block]]
+    root = cdt.labels[:cdt.sizes[0]]
     in_root = np.zeros(len(cdt.labels), dtype=bool)
     in_root[root] = True
     return int(np.count_nonzero(in_root[cdt.parent[1:]])) + len(root) - 1
@@ -535,6 +559,6 @@ def ball_as_tree(sample: UnicellularSample, radii: tuple[int, ...]) -> list[Ball
         code = "()" * (nv - 1) if r <= 1 else tree_ball_code(dist, src, dst, r)
         plane = None
         if n_nonfixed == 0:
-            plane = code if r <= 1 else dyck_truncation_code(sample.source.word, r)
+            plane = code if r <= 1 else dyck_truncation_code(sample.source.depth, r)
         shapes.append(BallShape(True, plane, code, nv, n_nonfixed, height))
     return shapes

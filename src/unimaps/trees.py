@@ -9,9 +9,10 @@ is traversed, ")" the second time.  A single vertex has the empty code.
 
 The sampler keeps that code as a Dyck word, an int8 array of +1 and -1
 steps: its up-steps are a uniform subset of positions cut by the cycle
-lemma (sample_dyck_word).  Depths are read off the up-step positions,
-parents off one stable radix sort of the depths (dyck_parents), height
-truncations off a mask; a PlaneTree is built from it only on request.
+lemma (sample_dyck_word).  Vertex depths are read off the up-step
+positions with no prefix sum (dyck_depths); parents (dyck_parents, one
+stable radix sort) and height truncations (dyck_truncation_code) are
+read off the depths; a PlaneTree is built from it only on request.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def enumerate_plane_trees(n: int):
 
 def sample_plane_tree(n: int, rng: np.random.Generator) -> PlaneTree:
     """Exactly uniform plane tree with n edges (see sample_dyck_word)."""
-    return tree_from_parents(dyck_parents(sample_dyck_word(n, rng))[0])
+    return tree_from_parents(dyck_parents(dyck_depths(sample_dyck_word(n, rng))))
 
 
 def sample_dyck_word(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -216,31 +217,51 @@ def sample_dyck_word(n: int, rng: np.random.Generator) -> np.ndarray:
     exactly one stays nonnegative until the final step.  Rotating to just
     after the first minimum of the partial sums and dropping the last
     down-step leaves a uniform Dyck word of length 2n.
+
+    The walk ends at -1, and a first minimum before the end is followed
+    by an up-step, so it is the partial sum just before some up-step,
+    2i - up[i] before the i-th (i up-steps and up[i] - i down-steps), or
+    the end itself: no prefix sum over the word is needed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     steps = np.full(2 * n + 1, -1, dtype=np.int8)
     steps[rng.choice(2 * n + 1, n, replace=False, shuffle=False)] = 1
-    cut = int(np.argmin(np.cumsum(steps))) + 1  # first position attaining the minimum
+    up = np.flatnonzero(steps > 0)
+    before = np.arange(0, 2 * n, 2) - up
+    i = int(np.argmin(before)) if n else 0
+    # the end, at -1, is the first minimum unless a sum before an up-step reaches -1
+    cut = int(up[i]) if n and before[i] <= -1 else 2 * n + 1
     return np.concatenate((steps[cut:], steps[:cut - 1]))
 
 
-def dyck_parents(word) -> tuple[np.ndarray, np.ndarray]:
-    """(parent, depth) of every vertex of the plane tree of a Dyck word.
+def dyck_depths(word) -> np.ndarray:
+    """Depth of every vertex of the plane tree of a Dyck word, root first.
 
     Vertex v >= 1 is opened by the v-th up-step, so the numbering is
-    preorder; parent[0] == -1.  A vertex v one level deeper than v - 1 is
-    a first child, whose parent is v - 1.  Any other vertex has the parent
-    of the vertex before it at its own depth, its previous sibling.  One
-    stable sort by depth puts those two next to each other, and a running
-    maximum carries each first child's slot over its later siblings.
+    preorder: v up-steps and up[v-1] + 1 - v down-steps end there, at
+    depth 2v - 1 - up[v-1].  A +-1 word of length 2n is a Dyck word
+    exactly when it has n up-steps and every depth past the root is >= 1:
+    the first up-step after the walk reaches -1 ends at depth <= 0.
     """
-    word = np.asarray(word)
-    up = np.flatnonzero(word > 0)
-    n = up.size
-    depth = np.zeros(n + 1, dtype=np.int64)
-    # v up-steps and up[v-1] + 1 - v down-steps end at the v-th up-step
-    depth[1:] = 2 * np.arange(1, n + 1) - 1 - up
+    up = np.flatnonzero(np.asarray(word) > 0)
+    depth = np.zeros(up.size + 1, dtype=np.int64)
+    depth[1:] = np.arange(1, 2 * up.size, 2) - up
+    return depth
+
+
+def dyck_parents(depth) -> np.ndarray:
+    """Preorder parent array (parent[0] == -1) of the plane tree with the
+    given vertex depths (see dyck_depths).
+
+    A vertex v one level deeper than v - 1 is a first child, whose parent
+    is v - 1.  Any other vertex has the parent of the vertex before it at
+    its own depth, its previous sibling.  One stable sort by depth puts
+    those two next to each other, and a running maximum carries each
+    first child's slot over its later siblings.
+    """
+    depth = np.asarray(depth)
+    n = depth.size - 1
     # the narrow dtype lets numpy use a radix sort
     order = np.argsort(depth.astype(np.min_scalar_type(n)), kind="stable")
     first = np.ones(n + 1, dtype=bool)  # the root heads its own level
@@ -249,20 +270,24 @@ def dyck_parents(word) -> tuple[np.ndarray, np.ndarray]:
     np.maximum.accumulate(head, out=head)
     parent = np.empty(n + 1, dtype=np.int64)
     parent[order] = order[head] - 1
-    return parent, depth
+    return parent
 
 
-def dyck_truncation_code(word, r: int) -> str:
-    """plane_code of the height-r truncation of the tree of a Dyck word.
+def dyck_truncation_code(depth, r: int) -> str:
+    """plane_code of the height-r truncation of the plane tree with the
+    given vertex depths (see dyck_depths).
 
-    A step is kept when its deeper end has height <= r: an up-step ends
-    at its deeper end, a down-step starts there.
+    The kept vertices are those at depth <= r, in preorder; the j-th of
+    them (from 1), at depth d_j, is opened by the up-step at position
+    2j - 1 - d_j of the truncated word, as in dyck_depths.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
-    word = np.asarray(word)
-    deeper = np.cumsum(word, dtype=np.int64) + (word < 0)
-    return _code(word[deeper <= r])
+    depth = np.asarray(depth)[1:]
+    kept = depth[depth <= r]
+    code = np.full(2 * kept.size, ord(")"), dtype=np.uint8)
+    code[np.arange(1, 2 * kept.size, 2) - kept] = ord("(")
+    return code.tobytes().decode("ascii")
 
 
 def dyck_forest_codes(word) -> list[str]:

@@ -2,7 +2,7 @@
 
 import math
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -16,6 +16,8 @@ from unimaps.maps import (
     root_distances,
 )
 from unimaps.sampler import (
+    SIZE_ROWS,
+    CDecoratedTree,
     OddCyclePermutationSampler,
     _quotient,
     ball_as_tree,
@@ -56,6 +58,87 @@ def test_decorated_tree_invariants():
         assert len(cdt.signs) == cdt.n_cycles
 
 
+def _parts(word, labels, sizes, signs):
+    return tuple(np.array(x) for x in (word, labels, sizes, signs))
+
+
+# (3, 1) decorations of the tree "(())" on 3 vertices, each with one
+# fault, and the message of the check that must catch it
+BAD_DECORATED_TREES = [
+    (([1, -1, -1, 1], [0, 1, 2], [3], [1]), "Dyck word"),  # dips below zero
+    (([1, 1, 1, -1], [0, 1, 2], [3], [1]), "Dyck word"),  # three up-steps
+    (([1, -1], [0, 1, 2], [3], [1]), "Dyck word"),  # too short
+    (([1, 1, -1, -1, 1, -1], [0, 1, 2], [3], [1]), "Dyck word"),  # too long
+    (([1, 0, 0, -1], [0, 1, 2], [3], [1]), "Dyck word"),  # a step of 0
+    (([1, 2, -1, -1], [0, 1, 2], [3], [1]), "Dyck word"),  # a step of 2
+    (([1, 1, -1, -1], [0, 1, 1], [3], [1]), "permutation"),  # a repeated label
+    (([1, 1, -1, -1], [0, 1, 3], [3], [1]), "permutation"),  # a label past m - 1
+    (([1, 1, -1, -1], [1, 0, 2], [3], [1]), "tree root"),  # root not first
+    (([1, 1, -1, -1], [0, 1, 2], [2, 1], [1, 1]), "odd"),  # an even size
+    (([1, 1, -1, -1], [0, 1, 2], [0, 3], [1, 1]), "odd"),  # a zero size
+    (([1, 1, -1, -1], [0, 1, 2], [1, 1], [1, 1]), "odd"),  # sizes sum to 2
+    (([1, 1, -1, -1], [0, 1, 2], [1, 1, 1], [1, 1]), "one sign"),  # a sign missing
+    (([1, 1, -1, -1], [0, 1, 2], [1, 1, 1], [1, 0, -1]), "signs"),  # a sign of 0
+]
+
+
+@pytest.mark.parametrize("parts,message", BAD_DECORATED_TREES)
+def test_decorated_tree_validation_rejects_each_fault(parts, message):
+    CDecoratedTree(*_parts([1, 1, -1, -1], [0, 1, 2], [1, 1, 1], [1, -1, 1]))
+    with pytest.raises(ValueError, match=message):
+        CDecoratedTree(*_parts(*parts))
+
+
+def test_depth_dyck_test_matches_prefix_sums():
+    # every +-1 word of length <= 12, decorated by the identity, passes
+    # validation exactly when its prefix sums stay >= 0 and end at 0; the
+    # depths are then the prefix sums at the up-steps
+    for length in range(13):
+        m = length // 2 + 1
+        for steps in product((1, -1), repeat=length):
+            word = np.array(steps, dtype=np.int8)
+            sums = np.cumsum(word)
+            dyck = length % 2 == 0 and (length == 0 or (sums.min() >= 0 and sums[-1] == 0))
+            try:
+                cdt = CDecoratedTree(word, np.arange(m), np.ones(m, dtype=np.int64),
+                                     np.ones(m, dtype=np.int8))
+            except ValueError:
+                assert not dyck, steps
+                continue
+            assert dyck, steps
+            assert cdt.depth.tolist() == [0] + sums[word > 0].tolist()
+
+
+@pytest.mark.parametrize("size", [1, SIZE_ROWS - 1, SIZE_ROWS, SIZE_ROWS + 1, 2 * SIZE_ROWS + 1])
+def test_draws_across_size_calls(size):
+    # every draw is a valid decorated tree whatever its place in a size
+    # call, and the same seed gives the same trees
+    def draw():
+        return list(sample_c_decorated_tree(30, 5, np.random.default_rng(size), size))
+
+    first, again = draw(), draw()
+    assert len(first) == len(again) == size
+    for a, b in zip(first, again):
+        for name in ("word", "labels", "sizes", "cycle_signs"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert (a.n_edges, a.genus, a.n_cycles) == (30, 5, 21)
+        cycles = a.perm.cycles()
+        assert sorted(map(len, cycles)) == sorted(a.sizes.tolist())
+        assert len(next(c for c in cycles if 0 in c)) == a.sizes[0]
+
+
+@pytest.mark.parametrize("n,g,draws", [(4, 1, 4000), (6, 1, 7000)])
+def test_decorated_tree_permutations_are_uniform(n, g, draws):
+    # the root's block is put first by a size-biased pick; the permutation
+    # must still be uniform over the all-odd ones with n + 1 - 2g cycles
+    # (20 at (4, 1): the root sits in the 3-cycle of 12; 70 at (6, 1))
+    rng = np.random.default_rng(n)
+    counts = Counter(cdt.perm.image for cdt in sample_c_decorated_tree(n, g, rng, draws))
+    cells = {4: 20, 6: 70}[n]
+    assert len(counts) == cells
+    assert chi_square_gof(counts, {p: 1 / cells for p in counts}, draws).p_value > 0.001
+
+
 def test_sample_sizes_and_root():
     rng = np.random.default_rng(3)
     for n, g in [(5, 0), (6, 1), (8, 3)]:
@@ -94,6 +177,14 @@ def test_root_degree_equals_the_quotient_root_degree(seed):
             q = _quotient(cdt)
             assert root_degree(cdt) == (np.count_nonzero(q.src == 0)
                                         + np.count_nonzero(q.dst == 0)), (n, g)
+    # a draw over several size calls, also against the tree degrees summed
+    # over the root's cycle of the tuple permutation
+    for cdt in sample_c_decorated_tree(60, 10, rng, 2 * SIZE_ROWS + 3):
+        q = _quotient(cdt)
+        degree = root_degree(cdt)
+        assert degree == np.count_nonzero(q.src == 0) + np.count_nonzero(q.dst == 0)
+        [cycle] = [c for c in cdt.perm.cycles() if 0 in c]
+        assert degree == sum(cdt.tree.degrees()[v] for v in cycle)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)

@@ -6,6 +6,7 @@ import pytest
 from unimaps.trees import (
     PlaneTree,
     catalan,
+    dyck_depths,
     dyck_forest_codes,
     dyck_parents,
     dyck_truncation_code,
@@ -106,6 +107,19 @@ def test_sampled_sizes():
         assert t.n_vertices == n + 1
 
 
+def test_cycle_lemma_cut_matches_prefix_sum_argmin():
+    # the cut read off the up-step positions against the first minimum of
+    # the prefix sums, on the same up-step draw
+    for n in range(41):
+        for seed in range(50):
+            steps = np.full(2 * n + 1, -1, dtype=np.int8)
+            up = np.random.default_rng(seed).choice(2 * n + 1, n, replace=False, shuffle=False)
+            steps[up] = 1
+            cut = int(np.argmin(np.cumsum(steps))) + 1
+            expected = np.concatenate((steps[cut:], steps[:cut - 1]))
+            assert np.array_equal(sample_dyck_word(n, np.random.default_rng(seed)), expected)
+
+
 def test_dyck_word_arrays_match_tuple_trees():
     # the vectorised parents, depths and truncation codes against the
     # tuple parser and PlaneTree.truncate, on every tree with n <= 7
@@ -113,12 +127,12 @@ def test_dyck_word_arrays_match_tuple_trees():
         for tree in enumerate_plane_trees(n):
             code = plane_code(tree)
             word = np.array([1 if c == "(" else -1 for c in code], dtype=np.int8)
-            parent, depth = dyck_parents(word)
+            depth = dyck_depths(word)
             reference = parse_plane_code(code)
-            assert parent.tolist() == reference.parents()
+            assert dyck_parents(depth).tolist() == reference.parents()
             assert depth.tolist() == reference.heights()
             for r in range(4):
-                assert dyck_truncation_code(word, r) == plane_code(tree.truncate(r))
+                assert dyck_truncation_code(depth, r) == plane_code(tree.truncate(r))
     # a forest word, the trees' words each wrapped in one pair, splits back
     codes = [plane_code(t) for n in range(5) for t in enumerate_plane_trees(n)]
     forest = "".join("(" + code + ")" for code in codes)
@@ -133,6 +147,6 @@ def test_dyck_parents_match_tuple_trees_on_sampled_words(n):
         word = sample_dyck_word(n, rng)
         assert word.dtype == np.int8 and len(word) == 2 * n
         reference = parse_plane_code("".join("(" if s > 0 else ")" for s in word.tolist()))
-        parent, depth = dyck_parents(word)
-        assert parent.tolist() == reference.parents()
+        depth = dyck_depths(word)
+        assert dyck_parents(depth).tolist() == reference.parents()
         assert depth.tolist() == reference.heights()
