@@ -245,8 +245,7 @@ class _SizeLaw:
     padded with top zeros, from which a split reads its weights.  qmax is
     the largest rows[j] entry a try can reach, accept the expected
     acceptance of a try and block the most tries one block holds.  dtype,
-    the smallest signed integer type that holds m, holds the excesses and
-    sizes a draw returns.
+    _size_dtype(m), holds the excesses and sizes a draw returns.
     """
 
     __slots__ = ("top", "j", "k", "pvals", "cum", "rows", "rev", "qmax", "accept",
@@ -255,6 +254,12 @@ class _SizeLaw:
     def __init__(self, **tables):
         for name, value in tables.items():
             setattr(self, name, value)
+
+
+def _size_dtype(m: int) -> np.dtype:
+    """The smallest signed integer dtype that holds m, so that it holds
+    every cycle size, excess and block end of a draw on m points."""
+    return np.min_scalar_type(-m - 1)
 
 
 @lru_cache(maxsize=16)
@@ -302,7 +307,7 @@ def _size_law(m: int, s: int) -> _SizeLaw:
     # a try holds its multinomial row, its tail values and a few scalars
     block = max(1, int(CHUNK_ENTRIES // (costs[h] + 8)))
     return _SizeLaw(top=top, j=j, k=k, pvals=pvals, cum=cum, rows=rows, rev=rev,
-                    qmax=qmax, accept=accept, block=block, dtype=np.min_scalar_type(-m))
+                    qmax=qmax, accept=accept, block=block, dtype=_size_dtype(m))
 
 
 def _split(law: _SizeLaw, rng: np.random.Generator, a: int,
@@ -426,11 +431,10 @@ class OddCyclePermutationSampler:
         self._law = _size_law(m, s) if 1 < s < m else None
 
     def sample_sizes(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """(size, s) cycle sizes, one draw per row, in the smallest signed
-        dtype that holds m."""
+        """(size, s) cycle sizes, one draw per row, in _size_dtype(m)."""
         m, s = self.m, self.s
         if s == m or s == 1:
-            return np.full((size, s), m // s, dtype=np.min_scalar_type(-m))
+            return np.full((size, s), m // s, dtype=_size_dtype(m))
         out = np.empty((size, s), dtype=self._law.dtype)
         done = 0
         while done < size:
@@ -467,7 +471,7 @@ def _root_block_first(sizes: np.ndarray, m: int, rng: np.random.Generator) -> No
     row, give a uniform permutation of the drawn cycle type whose first
     block is the root's cycle.
     """
-    ends = np.cumsum(sizes, axis=1, dtype=sizes.dtype)
+    ends = np.cumsum(sizes, axis=1)
     at = rng.integers(0, m, size=(len(sizes), 1))
     block = np.count_nonzero(ends <= at, axis=1)
     rows = np.arange(len(sizes))

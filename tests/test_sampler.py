@@ -127,6 +127,48 @@ def test_draws_across_size_calls(size):
         assert len(next(c for c in cycles if 0 in c)) == a.sizes[0]
 
 
+@pytest.mark.parametrize("g", [0, 10])
+def test_root_block_is_size_biased_at_128_vertices(g):
+    # m = 128 is one past what int8 holds: the block ends must not wrap,
+    # and a wrapped last end sends every pick that falls in the last block
+    # past the row.  Given a row of sizes, the root's block has size k with
+    # probability k * (count of k) / m, so sizes[0] has mean sum(k^2) / m
+    # and variance sum(k^3) / m - mean^2; the sum of the deviations over
+    # the draws is compared with its standard deviation.
+    m, dev, var = 128, 0.0, 0.0
+    draws = list(sample_c_decorated_tree(m - 1, g, np.random.default_rng(g), 125 * SIZE_ROWS))
+    assert len(draws) == 125 * SIZE_ROWS
+    for cdt in draws:
+        assert (cdt.n_edges, cdt.genus) == (m - 1, g)
+        cycles = cdt.perm.cycles()
+        assert len(next(c for c in cycles if 0 in c)) == cdt.sizes[0]
+        k = cdt.sizes.astype(np.float64)
+        mean = k @ k / m
+        dev += cdt.sizes[0] - mean
+        var += k @ k ** 2 / m - mean ** 2
+    assert abs(dev) <= 4 * math.sqrt(var) + 1e-9
+
+
+@pytest.mark.parametrize("m,dtype", [(127, np.int8), (128, np.int16), (32767, np.int16),
+                                     (32768, np.int32)])
+def test_size_dtype_is_the_smallest_that_holds_m(m, dtype):
+    assert sampler_module._size_dtype(m) == dtype
+
+
+def test_root_block_pick_follows_block_sizes():
+    # a row of distinct sizes summing to m = 128, in the dtype the sampler
+    # returns: the block swapped to the front must be block i with
+    # probability sizes[i] / m
+    m, draws = 128, 20000
+    row = np.array([1, 3, 5, 7, 9, 11, 13, 15, 17, 47])
+    dtype = OddCyclePermutationSampler(m, len(row)).sample_sizes(np.random.default_rng(0), 1).dtype
+    sizes = np.tile(row, (draws, 1)).astype(dtype)
+    sampler_module._root_block_first(sizes, m, np.random.default_rng(7))
+    assert np.array_equal(np.sort(sizes, axis=1), np.tile(row, (draws, 1)))
+    counts = Counter(sizes[:, 0].tolist())
+    assert chi_square_gof(counts, {k: k / m for k in row.tolist()}, draws).p_value > 0.001
+
+
 @pytest.mark.parametrize("n,g,draws", [(4, 1, 4000), (6, 1, 7000)])
 def test_decorated_tree_permutations_are_uniform(n, g, draws):
     # the root's block is put first by a size-biased pick; the permutation
