@@ -4,6 +4,11 @@ verification runs built on them.
 Exit codes: 0 success, 1 a verification or equality check failed,
 2 usage error, 3 internal error.  All randomized subcommands take
 --seed and produce byte-identical output for identical invocations.
+
+The parser is built once per interpreter (build_parser is cached) and
+every main call parses into a fresh namespace, so several command lines
+run in one process, as the tests and benchmark do, share no parsed
+value and pay the build only once.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -215,7 +221,10 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later one: parse with it, do not add to it."""
     parser = _Parser(
         prog="unimaps",
         description="One-face maps: exact counts and uniform samples, with limit checks.",
@@ -291,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "observed,expected,std_err,z")
     pl.add_argument("--n", type=int, required=True)
     pl.add_argument("--g", type=int, required=True)
-    pl.add_argument("--r", type=int, nargs="+", default=[1, 2])
+    pl.add_argument("--r", type=int, nargs="+", default=(1, 2))
     pl.add_argument("--samples", type=int, default=10_000)
     pl.add_argument("--critical", action="store_true",
                     help="compare against the xi=1/2 law")

@@ -24,9 +24,10 @@ drawn exactly given their sum, and every accepted try of a block is kept
 draws the cycle sizes and signs of SIZE_ROWS samples, in small-int
 dtypes, and each sample's labels, tree and quotient are drawn as it is
 read.  At n = 2000 and g from 100 to 900 that costs, per sample, 17 to
-69 microseconds for the sizes, 27 to 34 for the labels, 48 to 50 for
-the Dyck word and 47 to 58 for the validation (one core of a shared
-2-core x86_64 host).
+69 microseconds for the sizes, 27 to 34 for the labels and 48 to 50 for
+the Dyck word (one core of a shared 2-core x86_64 host).  Validation,
+one array pass per check, costs 27 to 30 microseconds there, against 42
+to 48 when each check made several passes.
 """
 
 from __future__ import annotations
@@ -100,23 +101,30 @@ class CDecoratedTree:
 
     def __post_init__(self):
         m = len(self.labels)
-        depth = dyck_depths(self.word)
-        # a +-1 word of length 2(m - 1) with m - 1 up-steps is a Dyck word
-        # exactly when every vertex past the root has depth >= 1
-        if (len(self.word) != 2 * (m - 1) or not np.all(np.abs(self.word) == 1)
-                or len(depth) != m or depth[1:].min(initial=1) < 1):
+        word, sizes, signs = self.word, self.sizes, self.cycle_signs
+        depth = dyck_depths(word)
+        # a word of length 2(m - 1) with m - 1 up-steps and m - 1 steps of
+        # -1 is a +-1 word, and a Dyck word exactly when every vertex past
+        # the root has depth >= 1
+        if (len(word) != 2 * (m - 1) or len(depth) != m
+                or np.count_nonzero(word == -1) != m - 1 or depth[1:].min(initial=1) < 1):
             raise ValueError("tree word must be a Dyck word on the vertex count")
         object.__setattr__(self, "depth", depth)
-        if not np.array_equal(np.bincount(self.labels, minlength=m), np.ones(m)):
+        try:
+            counts = np.bincount(self.labels, minlength=m)
+        except ValueError:  # a negative label
+            counts = None
+        # m labels in m bins, none twice: each vertex exactly once
+        if counts is None or len(counts) != m or counts.max() > 1:
             raise ValueError("labels must be a permutation of the vertices")
         if self.labels[0] != 0:
             raise ValueError("the first block must start at the tree root, label 0")
-        if (np.any(self.sizes < 1) or np.any(self.sizes % 2 == 0)
-                or int(self.sizes.sum()) != m):
+        if (sizes.min(initial=1) < 1 or np.count_nonzero(sizes & 1) != len(sizes)
+                or int(sizes.sum()) != m):
             raise ValueError("cycle sizes must be odd and sum to the vertex count")
-        if len(self.cycle_signs) != len(self.sizes):
+        if len(signs) != len(sizes):
             raise ValueError("need exactly one sign per cycle")
-        if not np.all(np.abs(self.cycle_signs) == 1):
+        if np.count_nonzero(np.abs(signs) != 1):
             raise ValueError("signs must be +1 or -1")
 
     @property

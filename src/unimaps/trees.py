@@ -238,13 +238,14 @@ def sample_dyck_word(n: int, rng: np.random.Generator) -> np.ndarray:
 def dyck_depths(word) -> np.ndarray:
     """Depth of every vertex of the plane tree of a Dyck word, root first.
 
-    Vertex v >= 1 is opened by the v-th up-step, so the numbering is
+    Vertex v >= 1 is opened by the v-th up-step (a step of exactly +1, so
+    that a validator can count the other steps), and the numbering is
     preorder: v up-steps and up[v-1] + 1 - v down-steps end there, at
     depth 2v - 1 - up[v-1].  A +-1 word of length 2n is a Dyck word
     exactly when it has n up-steps and every depth past the root is >= 1:
     the first up-step after the walk reaches -1 ends at depth <= 0.
     """
-    up = np.flatnonzero(np.asarray(word) > 0)
+    up = np.flatnonzero(np.asarray(word) == 1)
     depth = np.zeros(up.size + 1, dtype=np.int64)
     depth[1:] = np.arange(1, 2 * up.size, 2) - up
     return depth

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from unimaps import distributions
 from unimaps.asymptotics import regime
-from unimaps.cli import main
+from unimaps.cli import build_parser, main
 from unimaps.counting import lehman_walsh_count, lehman_walsh_row
 from unimaps.distributions import ball_probability_kd, root_degree_limit_pmf
 from unimaps.experiments import _height2_tree_count
@@ -551,3 +551,34 @@ def test_count_asymptotic_counts_each_genus_once(capsys, monkeypatch):
     code, out, _ = run(capsys, ["count", "--n", "40", "--g", "9", "--asymptotic"])
     assert code == 0
     assert calls == [(40, 9)]
+
+
+GW = ["gw", "--xi", "0.3", "--r", "2", "--samples", "300"]
+LOCAL_LIMIT = ["verify", "local-limit", "--n", "30", "--g", "5", "--samples", "20"]
+
+
+@pytest.mark.parametrize("calls", [
+    # a seed before the subcommand, then none: the second run uses seed 0
+    [["--seed", "3"] + GW, GW],
+    # the same after the subcommand, where the defaults are SUPPRESS
+    [GW + ["--seed", "3", "--format", "json"], GW],
+    # a usage error and --help between two valid calls
+    [["count", "--n", "6"], ["count", "--n"], ["--help"], ["count", "--n", "6", "--g", "1"]],
+    # the default radii after an explicit --r
+    [LOCAL_LIMIT + ["--r", "1", "2", "3"], LOCAL_LIMIT],
+])
+def test_consecutive_calls_match_fresh_runs(capsys, calls):
+    # the cached parser carries nothing from one command line to the next
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    build_parser.cache_clear()
+    assert [run(capsys, argv) for argv in calls] == fresh
+    assert build_parser.cache_info().misses == 1
+    assert len({out for _, out, _ in fresh}) == len(calls)
+
+
+def test_parsed_defaults_are_not_shared_lists():
+    args = build_parser().parse_args(LOCAL_LIMIT)
+    assert args.r == (1, 2) and isinstance(args.r, tuple)
