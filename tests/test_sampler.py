@@ -71,18 +71,18 @@ BAD_DECORATED_TREES = [
     (([1, 1, -1, -1, 1, -1], [0, 1, 2], [3], [1]), "Dyck word"),  # too long
     (([1, 0, 0, -1], [0, 1, 2], [3], [1]), "Dyck word"),  # a step of 0
     (([1, 2, -1, -1], [0, 1, 2], [3], [1]), "Dyck word"),  # a step of 2
-    (([1, 1, -2, 0], [0, 1, 2], [3], [1]), "Dyck word"),  # m - 1 up-steps, no -1
     (([1, 1, -1, -1], [0, 1, 1], [3], [1]), "permutation"),  # a repeated label
     (([1, 1, -1, -1], [0, 1, 3], [3], [1]), "permutation"),  # a label past m - 1
-    (([1, 1, -1, -1], [0, -1, 2], [3], [1]), "permutation"),  # a negative label
     (([1, 1, -1, -1], [1, 0, 2], [3], [1]), "tree root"),  # root not first
     (([1, 1, -1, -1], [0, 1, 2], [2, 1], [1, 1]), "odd"),  # an even size
     (([1, 1, -1, -1], [0, 1, 2], [0, 3], [1, 1]), "odd"),  # a zero size
     (([1, 1, -1, -1], [0, 1, 2], [1, 1], [1, 1]), "odd"),  # sizes sum to 2
-    (([1, 1, -1, -1], [0, 1, 2], [5, -1, -1], [1, 1, 1]), "odd"),  # a negative size
-    (([1, 1, -1, -1], [0, 1, 2], [], []), "odd"),  # no cycle
     (([1, 1, -1, -1], [0, 1, 2], [1, 1, 1], [1, 1]), "one sign"),  # a sign missing
     (([1, 1, -1, -1], [0, 1, 2], [1, 1, 1], [1, 0, -1]), "signs"),  # a sign of 0
+    (([1, 1, -2, 0], [0, 1, 2], [3], [1]), "Dyck word"),  # m - 1 up-steps, no -1
+    (([1, 1, -1, -1], [0, -1, 2], [3], [1]), "permutation"),  # a negative label
+    (([1, 1, -1, -1], [0, 1, 2], [5, -1, -1], [1, 1, 1]), "odd"),  # a negative size
+    (([1, 1, -1, -1], [0, 1, 2], [], []), "odd"),  # no cycle
 ]
 
 
