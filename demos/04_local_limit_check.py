@@ -21,9 +21,9 @@ print("sections scored:", ", ".join(report.scored))
 for name in ("nontree_r1", "nontree_r2", "merged_r2"):
     print(f"  {name}: {report.mass(name):.4f}")
 
-# radius-1 balls are stars, so their plane structure survives the
-# gluing; here are the most common ones
-rows = sorted(report.section_rows("plane_r1"), key=lambda r: -r.expected)
+# radius-1 balls are stars, whose shape fixes their plane order, so
+# they survive the gluing intact; here are the most common ones
+rows = sorted(report.section_rows("shape_r1"), key=lambda r: -r.expected)
 print("\ntop radius-1 balls (observed vs limit):")
 for row in rows[:5]:
     print(f"  {row.outcome:12s} {row.observed:.4f} vs {row.expected:.4f}"

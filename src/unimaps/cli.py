@@ -5,6 +5,12 @@ Exit codes: 0 success, 1 a verification or equality check failed,
 2 usage error, 3 internal error.  All randomized subcommands take
 --seed and produce byte-identical output for identical invocations.
 
+A flag is accepted only after a subcommand that reads it: --out after
+every one, --format after all but sample (which writes JSON lines),
+--seed after sample, gw, verify local-limit, verify root-degree and
+degree-profile, and --workers after the last three, which draw their
+samples from that many seed streams.
+
 The parser is built once per interpreter (build_parser is cached) and
 every main call parses into a fresh namespace, so several command lines
 run in one process, as the tests and benchmark do, share no parsed
@@ -38,7 +44,7 @@ from .trees import enumerate_plane_trees, parse_plane_code, plane_code
 
 
 def _write(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         try:
             Path(args.out).write_text(text)
         except OSError as exc:
@@ -136,12 +142,8 @@ def _cmd_gw(args) -> int:
 
 def _cmd_oracle_census(args) -> int:
     result = census(args.n)
-    if args.format == "json":
-        payload = {"n": result.n, "counts": {str(g): c for g, c in result.counts.items()}}
-        _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        rows = [[result.n, g, c] for g, c in result.counts.items()]
-        _rows_out(args, ["n", "g", "count"], rows)
+    rows = [[result.n, g, c] for g, c in result.counts.items()]
+    _rows_out(args, ["n", "g", "count"], rows)
     return 0
 
 
@@ -229,24 +231,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="unimaps",
         description="One-face maps: exact counts and uniform samples, with limit checks.",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="RNG seed, unsigned 64-bit")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="independent RNG streams to merge")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # top-level value unless the subcommand position actually sets one
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--workers", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("csv", "json"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS)
+
+    def uint64(text: str) -> int:
+        value = int(text)
+        if not 0 <= value < 2**64:
+            raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
+        return value
+
+    out = _Parser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default stdout)")
+    table = _Parser(add_help=False, parents=[out])
+    table.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=uint64, default=0, help="RNG seed, unsigned 64-bit")
+    streams = _Parser(add_help=False, parents=[table, seeded])
+    streams.add_argument("--workers", type=int, default=1,
+                         help="seed streams to draw in turn")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common],
+    p = sub.add_parser("count", parents=[table],
                        help="exact map counts; CSV columns n,g,count"
                        " plus log_asymptotic,ratio with --asymptotic")
     p.add_argument("--n", type=int, required=True)
@@ -254,18 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--asymptotic", action="store_true")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("beta", parents=[common], help="regime constants; CSV columns"
+    p = sub.add_parser("beta", parents=[table], help="regime constants; CSV columns"
                        " theta,beta,xi,mean,var,a_theta")
     p.add_argument("--theta", type=float, nargs="+", required=True)
     p.set_defaults(func=_cmd_beta)
 
-    p = sub.add_parser("root-degree", parents=[common], help="limit root-degree pmf; CSV columns"
+    p = sub.add_parser("root-degree", parents=[table], help="limit root-degree pmf; CSV columns"
                        " value,probability")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--dmax", type=int, default=20)
     p.set_defaults(func=_cmd_root_degree)
 
-    p = sub.add_parser("sample", parents=[common], help="uniform samples as JSON lines;"
+    p = sub.add_parser("sample", parents=[out, seeded], help="uniform samples as JSON lines;"
                        " --emit-cdt includes the decorated tree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
@@ -273,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-cdt", action="store_true")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("gw", parents=[common], help="conditioned branching-tree ball draws pooled"
-                       " by (edges, deepest); CSV columns value,probability")
+    p = sub.add_parser("gw", parents=[table, seeded], help="conditioned branching-tree ball"
+                       " draws pooled by (edges, deepest); CSV columns value,probability")
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--samples", type=int, default=10_000)
@@ -282,11 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive small-case ground truth")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
-    pc = oracle_sub.add_parser("census", parents=[common], help="per-genus counts; CSV columns"
-                               " n,g,count, JSON {n, counts}")
+    pc = oracle_sub.add_parser("census", parents=[table],
+                               help="per-genus counts; CSV columns n,g,count")
     pc.add_argument("--n", type=int, required=True)
     pc.set_defaults(func=_cmd_oracle_census)
-    ps = oracle_sub.add_parser("surgery", parents=[common], help="one count identity check; CSV"
+    ps = oracle_sub.add_parser("surgery", parents=[table], help="one count identity check; CSV"
                                " columns tree,n,g,k,d,r,lhs,rhs,equal")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--g", type=int, required=True)
@@ -295,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="statistical and exact verification runs")
     verify_sub = p.add_subparsers(dest="verify_command", required=True)
-    pl = verify_sub.add_parser("local-limit", parents=[common], help="sampled balls against the"
+    pl = verify_sub.add_parser("local-limit", parents=[streams], help="sampled balls against the"
                                " limit law; report CSV section,outcome,"
                                "observed,expected,std_err,z")
     pl.add_argument("--n", type=int, required=True)
@@ -305,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--critical", action="store_true",
                     help="compare against the xi=1/2 law")
     pl.set_defaults(func=_cmd_verify_local_limit)
-    pr = verify_sub.add_parser("root-degree", parents=[common], help="sampled root degree against"
+    pr = verify_sub.add_parser("root-degree", parents=[streams], help="sampled root degree against"
                                " the limit or exact pmf; report CSV as"
                                " local-limit")
     pr.add_argument("--n", type=int, required=True)
@@ -314,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--reference", choices=("limit", "exact"), default="limit")
     pr.add_argument("--tv-max", type=float, default=None)
     pr.set_defaults(func=_cmd_root_degree_verify)
-    pv = verify_sub.add_parser("surgery", parents=[common], help="exhaustive count identity sweep;"
+    pv = verify_sub.add_parser("surgery", parents=[table], help="exhaustive count identity sweep;"
                                " CSV columns tree,n,g,k,d,r,lhs,rhs,equal")
     pv.add_argument("--nmax", type=int, default=6)
     pv.add_argument("--kmax", type=int, default=3)
     pv.set_defaults(func=_cmd_verify_surgery)
 
-    p = sub.add_parser("degree-profile", parents=[common], help="global mean degree next to the"
+    p = sub.add_parser("degree-profile", parents=[streams], help="global mean degree next to the"
                        " limit-tree ball average; report CSV as local-limit")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
@@ -336,9 +340,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not (0 <= args.seed < 2**64):
-        print("usage error: seed must fit in 64 unsigned bits", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ValueError as exc:

@@ -5,7 +5,9 @@ Each run samples one-face maps, reduces them to a local observable
 the corresponding limit formula.  Reports are plain data with a
 reproducibility header; identical config and seed give byte-identical
 output.  `render_table` is the one table writer: every CLI table and
-every report's rows go through it.
+every report's rows go through it.  Every sampled run reads its draws
+from one iterator, `_draws`, which chains the config's seed streams in
+order in this process and folds nothing itself.
 
 Two comparison granularities coexist for balls.  The plane-level rows
 need every ball vertex to be a fixed point of the decoration, which at
@@ -22,7 +24,7 @@ import sys
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -188,29 +190,19 @@ def _resolve_constants(theta: float, xi: float | None) -> tuple[float, float, tu
     return beta, xi, constants
 
 
-def _chunks(total: int, workers: int) -> list[int]:
-    base, extra = divmod(total, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
+def _draws(cfg: ExperimentConfig, draw):
+    """Chain draw(rng, count) over cfg.workers child streams of cfg.seed,
+    in order.
 
-
-def _fanout(cfg: ExperimentConfig, worker):
-    """Run worker(rng, count) per seed stream and merge the Counters.
-
-    Workers own disjoint child streams of the config seed, so the merged
-    counts depend only on (seed, workers), not on execution order.
+    The samples split as evenly as they go, the first streams taking one
+    more, and a stream with none draws nothing, so what is drawn depends
+    only on (seed, samples, workers).
     """
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
-    merged: dict = {}
-    for stream, count in zip(streams, _chunks(cfg.samples, cfg.workers)):
-        if count == 0:
-            continue
-        part = worker(np.random.default_rng(stream), count)
-        for key, counter in part.items():
-            if key in merged:
-                merged[key].update(counter)
-            else:
-                merged[key] = counter
-    return merged
+    base, extra = divmod(cfg.samples, cfg.workers)
+    for i, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.workers)):
+        count = base + (i < extra)
+        if count:
+            yield from draw(np.random.default_rng(stream), count)
 
 
 def _binomial_row(section: str, outcome: str, count: int, prob: float,
@@ -263,10 +255,11 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
     statement, so each fixed ball keeps its own limit probability while
     the finite-size leftovers (cycles through the ball, unrecoverable
     plane order) sit on outcomes outside the table and are reported as
-    masses.  Plane-level rows compare ordered balls, which at radius 1
-    every tree ball determines; deeper radii recover plane order only
-    when the ball misses every merged vertex, so at large theta those
-    rows go unscored and the unordered rows carry the check.  Shape rows
+    masses.  Plane-level rows compare ordered balls from radius 2 on (a
+    radius-1 tree ball is a star, whose shape row is its plane row);
+    they recover plane order only when the ball misses every merged
+    vertex, so at large theta those rows go unscored and the unordered
+    rows carry the check.  Shape rows
     aggregate the law over plane orderings; at radius 2 a pooled section
     over (edge count, deepest population) adds resolution where single
     shapes get rare.
@@ -291,35 +284,31 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
         return _exact_local_limit(cfg, radii)
     beta, xi_val, constants = _resolve_constants(cfg.theta, xi)
 
-    def worker(rng, count):
-        out: dict = {("plane", r): Counter() for r in radii}
-        out.update({("shape", r): Counter() for r in radii})
-        # (leftover, r) -> balls outside the tables, reported as masses
-        out["left"] = Counter()
-        out["vertices"] = Counter()
-        for sample in sample_unicellular(cfg.n, cfg.g, rng, count):
-            for r, shape in zip(radii, ball_as_tree(sample, radii)):
-                out["vertices"][("seen", r)] += shape.n_vertices
-                out["vertices"][("nonfixed", r)] += shape.n_nonfixed
-                if not shape.is_tree:
-                    out["left"][("nontree", r)] += 1
-                    continue
-                full = shape.height == r
-                code = shape.unordered_code
-                if full:
-                    out[("shape", r)][code] += 1
-                else:
-                    out["left"][("shallow", r)] += 1
-                if shape.merged and r > 1:
-                    out["left"][("merged", r)] += 1
-                elif full:
-                    # a height-1 tree ball is a star, one plane order only,
-                    # so merged vertices cost nothing at this radius
-                    out[("plane", r)][code if shape.merged else shape.plane_code] += 1
-        return out
+    # merged vertices cost a star nothing, so the merged leftover starts
+    # at radius 2 with the plane rows
+    plane = {r: Counter() for r in radii if r > 1}
+    shape = {r: Counter() for r in radii}
+    # (name, r) -> balls outside the tables, and ball vertex tallies
+    left: Counter = Counter()
+    for sample in _draws(cfg, partial(sample_unicellular, cfg.n, cfg.g)):
+        for r, ball in zip(radii, ball_as_tree(sample, radii)):
+            left[("seen", r)] += ball.n_vertices
+            left[("nonfixed", r)] += ball.n_nonfixed
+            if not ball.is_tree:
+                left[("nontree", r)] += 1
+                continue
+            full = ball.height == r
+            if full:
+                shape[r][ball.unordered_code] += 1
+            else:
+                left[("shallow", r)] += 1
+            if r == 1:
+                continue
+            if ball.merged:
+                left[("merged", r)] += 1
+            elif full:
+                plane[r][ball.plane_code] += 1
 
-    merged = _fanout(cfg, worker)
-    left = merged["left"]
     n_samples = cfg.samples
     rows: list[ReportRow] = []
     tv: list[tuple[str, float]] = []
@@ -327,24 +316,22 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
     scored: list[str] = []
     passed = True
     for r in radii:
-        plane_counts = merged[("plane", r)]
-        shape_counts = merged[("shape", r)]
-        plane_probs = {code: ball_probability(xi_val, parse_plane_code(code))
-                       for code in plane_counts}
         shape_probs, kd_probs, kd_counts = {}, {}, Counter()
-        for code, count in shape_counts.items():
+        for code, count in shape[r].items():
             k_edges, d, embeddings = _shape_stats(code)
             p_kd = ball_probability_kd(xi_val, k_edges, d)
             shape_probs[code] = embeddings * p_kd
             kd = f"k={k_edges} d={d}"  # cells read at r = 2 only
             kd_counts[kd] += count
             kd_probs[kd] = _height2_tree_count(k_edges, d) * p_kd
-        tree_balls = n_samples - left[("nontree", r)]
-        plane_scored = r == 1 or left[("merged", r)] <= 0.05 * tree_balls
-        sections = [
-            (f"plane_r{r}", plane_counts, plane_probs, plane_scored),
-            (f"shape_r{r}", shape_counts, shape_probs, True),
-        ]
+        sections = []
+        if r > 1:
+            plane_probs = {code: ball_probability(xi_val, parse_plane_code(code))
+                           for code in plane[r]}
+            tree_balls = n_samples - left[("nontree", r)]
+            plane_scored = left[("merged", r)] <= 0.05 * tree_balls
+            sections.append((f"plane_r{r}", plane[r], plane_probs, plane_scored))
+        sections.append((f"shape_r{r}", shape[r], shape_probs, True))
         if r == 2:
             # individual ball shapes get rare as they grow, so the z checks
             # need outcomes pooled by the (k, d) pair the law depends on
@@ -360,12 +347,11 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
             passed = passed and within
             if section_scored:
                 scored.append(section)
-        for name in ("nontree", "merged", "shallow"):
+        for name in ("nontree", "merged", "shallow") if r > 1 else ("nontree", "shallow"):
             masses.append((f"{name}_r{r}", left[(name, r)] / n_samples))
-        seen = merged["vertices"][("seen", r)]
-        nonfixed = merged["vertices"][("nonfixed", r)]
+        seen = left[("seen", r)]
         masses.append((f"nonfixed_vertex_fraction_r{r}",
-                       nonfixed / seen if seen else 0.0))
+                       left[("nonfixed", r)] / seen if seen else 0.0))
     params = (("n", cfg.n), ("g", cfg.g), ("radii", ",".join(map(str, radii))),
               ("samples", cfg.samples), ("seed", cfg.seed), ("workers", cfg.workers),
               ("z_max", Z_MAX), ("min_expected", MIN_EXPECTED), ("top_m", TOP_M))
@@ -418,13 +404,8 @@ def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",
     else:  # theta = 1/2 has no limit constants, and the exact law needs none
         constants = (("build", build_id()),)
 
-    def worker(rng, count):
-        degrees: Counter = Counter()
-        for cdt in sample_c_decorated_tree(cfg.n, cfg.g, rng, count):
-            degrees[root_degree(cdt)] += 1
-        return {"deg": degrees}
-
-    degrees = _fanout(cfg, worker)["deg"]
+    degrees = Counter(map(root_degree,
+                          _draws(cfg, partial(sample_c_decorated_tree, cfg.n, cfg.g))))
     if reference == "limit":
         probs = {d: root_degree_pmf_beta(beta, d) for d in range(1, max(degrees) + 1)}
     scored = {d for d, p in probs.items() if d <= Z_DEGREE_MAX and p > 0}
@@ -457,17 +438,13 @@ def degree_profile(cfg: ExperimentConfig, r: int) -> ComparisonReport:
     beta, xi_val, constants = _resolve_constants(cfg.theta, None)
     local_limit = 2.0 / (1.0 - beta) if beta < 1 else math.inf
 
-    def worker(rng, count):
-        sums: Counter = Counter()
-        for h, z in inf_ball_generations(xi_val, r + 1, rng, count):
-            if h >= 2:  # total = v_{h-1} and z = Z_h close radius h - 1
-                avg = (2.0 * (total - 1.0) + z) / total
-                sums[("sum", h - 1)] += float(avg.sum())
-                sums[("sumsq", h - 1)] += float(np.square(avg).sum())
-            total = z if h == 0 else total + z
-        return {"acc": sums}
-
-    acc = _fanout(cfg, worker)["acc"]
+    acc: Counter = Counter()
+    for h, z in _draws(cfg, partial(inf_ball_generations, xi_val, r + 1)):
+        if h >= 2:  # total = v_{h-1} and z = Z_h close radius h - 1
+            avg = (2.0 * (total - 1.0) + z) / total
+            acc[("sum", h - 1)] += float(avg.sum())
+            acc[("sumsq", h - 1)] += float(np.square(avg).sum())
+        total = z if h == 0 else total + z
     rows = []
     n_samples = cfg.samples
     global_mean = 2.0 * cfg.n / (cfg.n + 1 - 2 * cfg.g)

@@ -403,7 +403,9 @@ def test_oracle_census_json(capsys):
                                 "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload == {"n": 5, "counts": {"0": 42, "1": 420, "2": 483}}
+    assert payload == [{"n": 5, "g": 0, "count": 42}, {"n": 5, "g": 1, "count": 420},
+                       {"n": 5, "g": 2, "count": 483}]
+    assert run(capsys, ["count", "--n", "5", "--format", "json"]) == (0, out, "")
 
 
 def test_oracle_surgery_equal_case_exits_zero(capsys):
@@ -482,7 +484,7 @@ def test_root_degree_exact_reference_at_half_genus(capsys):
     ["verify", "root-degree", "--n", "4", "--g", "1", "--r", "2"],
     ["verify", "root-degree", "--n", "4", "--g", "1", "--samp", "5", "--ref", "exact"],
     ["count", "--n", "4", "--asym", "--form", "json"],
-    ["--se", "3", "count", "--n", "4"],
+    ["gw", "--xi", "0.3", "--r", "1", "--se", "3"],
 ])
 def test_abbreviated_options_are_usage_errors(capsys, argv):
     code, out, _ = run(capsys, argv)
@@ -494,10 +496,25 @@ def test_full_option_names_parse(capsys):
     code, _, _ = run(capsys, ["verify", "root-degree", "--n", "4", "--g", "1",
                               "--samples", "5", "--reference", "exact"])
     assert code == 0
-    code, out, _ = run(capsys, ["--seed", "3", "count", "--n", "4", "--asymptotic",
-                                "--format", "json"])
+    code, out, _ = run(capsys, ["count", "--n", "4", "--asymptotic", "--format", "json"])
     assert code == 0
     assert len(json.loads(out)) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    # the shared flags come after the subcommand, not before it
+    ["--seed", "3", "gw", "--xi", "0.3", "--r", "1"],
+    # and only after a subcommand that reads them
+    ["count", "--n", "4", "--seed", "3"],
+    ["gw", "--xi", "0.3", "--r", "1", "--workers", "2"],
+    ["sample", "--n", "4", "--g", "1", "--format", "json"],
+    ["beta", "--theta", "0.25", "--workers", "2"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: unimaps")
 
 
 def test_missing_required_argument_is_usage_error(capsys):
@@ -518,10 +535,11 @@ def test_domain_error_is_usage_error(capsys):
 
 
 def test_seed_out_of_range_is_usage_error(capsys):
-    code, _, err = run(capsys, ["count", "--n", "3",
-                                "--seed", str(2**64)])
-    assert code == 2
-    assert "seed" in err
+    for seed in (2**64, -1):
+        code, out, err = run(capsys, ["gw", "--xi", "0.3", "--r", "1", "--seed", str(seed)])
+        assert code == 2
+        assert out == ""
+        assert "seed must fit in 64 unsigned bits" in err
 
 
 def test_count_asymptotic_counts_each_genus_once(capsys, monkeypatch):
@@ -558,9 +576,9 @@ LOCAL_LIMIT = ["verify", "local-limit", "--n", "30", "--g", "5", "--samples", "2
 
 
 @pytest.mark.parametrize("calls", [
-    # a seed before the subcommand, then none: the second run uses seed 0
-    [["--seed", "3"] + GW, GW],
-    # the same after the subcommand, where the defaults are SUPPRESS
+    # a seed, then none: the second run uses seed 0
+    [GW + ["--seed", "3"], GW],
+    # a seed and a format, then neither: the second run is seed 0 in CSV
     [GW + ["--seed", "3", "--format", "json"], GW],
     # a usage error and --help between two valid calls
     [["count", "--n", "6"], ["count", "--n"], ["--help"], ["count", "--n", "6", "--g", "1"]],

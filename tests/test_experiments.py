@@ -6,8 +6,10 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import unimaps
@@ -15,11 +17,13 @@ from unimaps.experiments import (
     ComparisonReport,
     ExperimentConfig,
     _binomial_row,
+    _draws,
     build_id,
     degree_profile,
     run_local_limit,
     run_root_degree,
 )
+from unimaps.sampler import root_degree, sample_c_decorated_tree
 
 
 def test_config_validation():
@@ -120,6 +124,30 @@ def test_worker_split_changes_stream_but_stays_valid():
     total_b = sum(row.observed for row in b.rows)
     assert total_a == pytest.approx(1.0)
     assert total_b == pytest.approx(1.0)
+
+
+def test_seed_streams_split_the_samples_in_order():
+    # 10 samples over 3 streams of seed 11 draw 4, 3 and 3, in stream order
+    cfg = ExperimentConfig(n=20, g=2, samples=10, seed=11, workers=3)
+    streams = np.random.SeedSequence(11).spawn(3)
+    by_hand = [draw for stream, count in zip(streams, (4, 3, 3))
+               for draw in np.random.default_rng(stream).integers(2**62, size=count)]
+    assert list(_draws(cfg, lambda rng, count: rng.integers(2**62, size=count))) == by_hand
+    degrees = Counter()
+    for stream, count in zip(streams, (4, 3, 3)):
+        rng = np.random.default_rng(stream)
+        degrees.update(map(root_degree, sample_c_decorated_tree(20, 2, rng, count)))
+    rows = run_root_degree(cfg).rows
+    assert {int(row.outcome): round(row.observed * 10) for row in rows if row.observed} == degrees
+
+
+def test_streams_past_the_sample_count_draw_nothing():
+    # 2 samples over 5 streams: the first two draw one each, the rest none
+    cfg = ExperimentConfig(n=20, g=2, samples=2, seed=11, workers=5)
+    assert list(_draws(cfg, lambda rng, count: [count])) == [1, 1]
+    report = run_root_degree(cfg)
+    assert sum(row.observed for row in report.rows) == pytest.approx(1.0)
+    assert dict(report.params)["workers"] == 5
 
 
 def test_root_degree_exact_reference():
