@@ -5,7 +5,10 @@ of each edge and ``sigma`` rotates the darts counterclockwise around
 their vertex.  Faces are the cycles of sigma composed after alpha, and
 the Euler relation v - n + f = 2 - 2g gives the genus.  The balls of a
 rooted multigraph are read off root_distances, one numpy pass per level
-over its edge arrays.
+over its edge arrays.  The balls of a rotation map are read by the
+non-backtracking walk from its root dart: unfolding_ball_code gives the
+exploration tree, and rotation_ball_code the subgraph ball, which is that
+tree exactly when the walk reaches no vertex twice.
 """
 
 from __future__ import annotations
@@ -79,35 +82,19 @@ class RotationMap:
         if not (0 <= self.root_dart < nd):
             raise ValueError("root_dart out of range")
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.alpha) // 2
-
-    def vertex_cycles(self) -> list[tuple[int, ...]]:
-        return Permutation(self.sigma).cycles()
-
-    def faces_and_genus(self) -> tuple[int, int]:
-        return faces_and_genus(self.alpha, self.sigma)
-
-    def vertex_of_dart(self) -> list[int]:
-        """Vertex id (index of its sigma-cycle, ordered by minimum dart)
-        for every dart."""
-        return _owner_of(self.vertex_cycles(), len(self.sigma))
-
     def root_degree(self) -> int:
         """Degree of the root vertex, i.e. number of darts around it."""
-        owner = self.vertex_of_dart()
-        rv = owner[self.root_dart]
-        return sum(1 for d in range(len(self.sigma)) if owner[d] == rv)
+        return len(_rotation(self.sigma, self.root_dart))
 
 
-def _owner_of(cycles: list[tuple[int, ...]], n_darts: int) -> list[int]:
-    """Index in cycles of the cycle through each dart."""
-    owner = [0] * n_darts
-    for vid, cyc in enumerate(cycles):
-        for d in cyc:
-            owner[d] = vid
-    return owner
+def _rotation(sigma, dart: int) -> list[int]:
+    """The darts around dart's vertex in rotation order, dart first."""
+    around = [dart]
+    e = sigma[dart]
+    while e != dart:
+        around.append(e)
+        e = sigma[e]
+    return around
 
 
 def faces_and_genus(alpha, sigma) -> tuple[int, int]:
@@ -293,72 +280,38 @@ def plane_tree_to_map(tree: PlaneTree) -> RotationMap:
 def rotation_ball_code(m: RotationMap, r: int) -> tuple[bool, Optional[str]]:
     """Ball of radius r in a rotation map, compared as a plane structure.
 
-    Returns (is_tree, code): when the ball is a tree, ``code`` is its
-    balanced-parenthesis contour code read from the restricted rotation,
-    rooted at the map's root dart.  Non-tree balls get (False, None);
-    canonical codes for those are out of scope.
+    Returns (is_tree, code): ``code`` is the tree ball's contour code in
+    rotation order from the root dart, and non-tree balls get
+    (False, None).  The ball is a tree exactly when the non-backtracking
+    walks of length <= r from the root reach no vertex twice (a vertex is
+    named by the least dart of its sigma cycle), and it is then the
+    exploration tree of unfolding_ball_code:
+    - two distinct such walks that end at one vertex close a cycle whose
+      edges each have an end nearer than r, so the ball holds a cycle, a
+      loop or a double edge;
+    - conversely, a ball edge off a breadth-first tree gives a second
+      walk to its far end;
+    - with no repeat, every vertex within r is reached once and every
+      exit leads to a child, so the ball is the exploration tree,
+      rotation order included.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
-    if r == 0:
-        return True, ""
-    # BFS over darts, kept apart from root_distances, which this checks:
-    # a vertex is a sigma cycle and alpha leads to the next vertex
-    cycles = m.vertex_cycles()
-    owner = _owner_of(cycles, len(m.sigma))
-    dist = [-1] * len(cycles)
-    dist[owner[m.root_dart]] = 0
-    queue = [owner[m.root_dart]]
-    for v in queue:
-        if dist[v] == r:
-            break
-        for d in cycles[v]:
-            w = owner[m.alpha[d]]
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    # edges are the alpha orbits; one is kept when an endpoint is strictly
-    # inside the ball
-    nd = len(m.alpha)
-    edge_id = [-1] * nd
-    kept_dart = [False] * nd
-    n_ball_edges = 0
-    n_edges_seen = 0
-    for d in range(nd):
-        if d < m.alpha[d]:
-            a = m.alpha[d]
-            edge_id[d] = edge_id[a] = n_edges_seen
-            n_edges_seen += 1
-            du, dv = dist[owner[d]], dist[owner[a]]
-            if du == -1 or dv == -1:
-                continue
-            if min(du, dv) <= r - 1:
-                kept_dart[d] = kept_dart[a] = True
-                n_ball_edges += 1
-    n_ball_vertices = sum(1 for d in dist if d >= 0)
-    if n_ball_edges != n_ball_vertices - 1:
-        return False, None
-    # restrict sigma to kept darts within each vertex cycle
-    sigma_ball = {}
-    for cyc in cycles:
-        kept = [d for d in cyc if kept_dart[d]]
-        for j, d in enumerate(kept):
-            sigma_ball[d] = kept[(j + 1) % len(kept)]
-    # contour of the restricted map, "(" on first visit of an edge
-    out = []
-    seen_edge = set()
-    d = m.root_dart
-    for _ in range(2 * n_ball_edges):
-        e = edge_id[d]
-        if e in seen_edge:
-            out.append(")")
-        else:
-            seen_edge.add(e)
-            out.append("(")
-        d = sigma_ball[m.alpha[d]]
-    if d != m.root_dart:
-        raise AssertionError("restricted contour did not close")
-    return True, "".join(out)
+    sigma, alpha = m.sigma, m.alpha
+    # the root has no arrival dart: every dart around it is an exit
+    around = _rotation(sigma, m.root_dart)
+    seen = {min(around)}
+    stack = [(alpha[e], 1) for e in around] if r else []
+    while stack:
+        arrival, depth = stack.pop()
+        around = _rotation(sigma, arrival)
+        if min(around) in seen:
+            return False, None
+        seen.add(min(around))
+        if depth < r:
+            # elsewhere the exits are the rotation after the arrival dart
+            stack.extend((alpha[e], depth + 1) for e in around[1:])
+    return True, unfolding_ball_code(m, r)
 
 
 def unfolding_ball_code(m: RotationMap, r: int) -> str:

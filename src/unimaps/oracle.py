@@ -16,12 +16,13 @@ vertex count and root degree of every map of a block at once (see
 _map_blocks).  There is one scan per (n, reading), kept as counts, never
 as a list of maps: {(genus, root degree): maps} per n, and
 {(genus, ball code): maps} per (n, r, ball reader), whose readers take
-one map at a time.  At n = 8 (about 2e6 pairings, 2-core x86_64,
-CPython 3.11, numpy 2.4) `unimaps verify root-degree --n 8 --g 2
---samples 100 --reference exact` runs in 0.6-0.8 s at a peak RSS of
-37 MB, and `unimaps oracle surgery --n 8 --g 2 --tree "(())"` in
-24-28 s at 57 MB, nearly all of it in building each map and reading
-its ball.
+one map at a time.  Both walk the non-backtracking exploration from the
+root dart; the subgraph ball is that tree unless a vertex recurs.  At
+n = 8 (about 2e6 pairings, 2-core x86_64, CPython 3.11, numpy 2.4)
+`unimaps verify root-degree --n 8 --g 2 --samples 100 --reference
+exact` runs in 0.6-0.8 s at a peak RSS of 37 MB, and `unimaps oracle
+surgery --n 8 --g 2 --tree "(())"` in 24-28 s at 57 MB, nearly all of
+it in building each map and reading its ball.
 """
 
 from __future__ import annotations
@@ -163,10 +164,6 @@ def enumerate_unicellular(n: int) -> Iterator[RotationMap]:
 class GluingCensus:
     n: int
     counts: dict
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 @lru_cache(maxsize=None)

@@ -2,10 +2,19 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from unimaps.counting import double_factorial
-from unimaps.maps import RotationMap, faces_and_genus, unfolding_ball_code
+from unimaps.maps import (
+    Permutation,
+    RotationMap,
+    faces_and_genus,
+    root_distances,
+    rotation_ball_code,
+    tree_ball_code,
+    unfolding_ball_code,
+)
 from unimaps.oracle import (
     NON_TREE,
     _ball_reading,
@@ -19,7 +28,7 @@ from unimaps.oracle import (
     exact_tree_ball_dist,
     verify_surgery,
 )
-from unimaps.trees import parse_plane_code
+from unimaps.trees import parse_plane_code, unordered_code
 
 
 def test_census_frozen_tables():
@@ -106,3 +115,29 @@ def test_every_tally_counts_every_map_once():
         for r in (1, 2):
             for reader in (_ball_reading, unfolding_ball_code):
                 assert sum(_ball_tally(n, r, reader).values()) == total
+
+
+def test_oracle_balls_match_the_sampler_ball_reader():
+    # the oracle walks darts; the sampler's reader runs root_distances on
+    # the underlying graph: one vertex per sigma cycle, one edge per alpha
+    # pair, the tree test by edge count
+    for n in range(1, 7):
+        for alpha, sigma, _, _ in _maps(n):
+            owner = [0] * (2 * n)
+            cycles = Permutation(sigma).cycles()
+            for v, cycle in enumerate(cycles):
+                for d in cycle:
+                    owner[d] = v
+            src = np.array([owner[d] for d in range(2 * n) if d < alpha[d]])
+            dst = np.array([owner[alpha[d]] for d in range(2 * n) if d < alpha[d]])
+            m = RotationMap(alpha, sigma, 0)
+            for r in (1, 2, 3):
+                # no ball grows past the vertex count
+                top = min(r, len(cycles))
+                dist = root_distances(len(cycles), src, dst, owner[0], top)
+                inner = np.count_nonzero(np.minimum(dist[src], dist[dst]) < top)
+                is_tree, code = rotation_ball_code(m, r)
+                assert is_tree == (inner == np.count_nonzero(dist <= top) - 1)
+                if is_tree:
+                    assert (unordered_code(parse_plane_code(code))
+                            == tree_ball_code(dist, src, dst, top))
