@@ -59,11 +59,11 @@ from .oracle import (
     exact_ball_dist,
     verify_surgery,
 )
-from .stats import tv_distance, chi_square_gof
 from .experiments import (
     ExperimentConfig,
     ComparisonReport,
     run_local_limit,
     run_root_degree,
     degree_profile,
+    tv_distance,
 )

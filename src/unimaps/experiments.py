@@ -9,11 +9,13 @@ every report's rows go through it.  Every sampled run reads its draws
 from one iterator, `_draws`, which chains the config's seed streams in
 order in this process and folds nothing itself.
 
-Two comparison granularities coexist for balls.  The plane-level rows
+Three comparison granularities coexist for balls.  The plane-level rows
 need every ball vertex to be a fixed point of the decoration, which at
 large theta almost never happens, so the shape-level rows aggregate the
 limit law over all plane orderings of each unordered ball and stay
-informative at any theta.
+informative at any theta.  The (k, d) rows, at radius 2 only, pool the
+shapes further by edge count k and population d at the full height, the
+pair the limit law depends on.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .distributions import (
 )
 from .oracle import exact_ball_dist, exact_root_degree_dist, exact_tree_ball_dist
 from .sampler import ball_as_tree, root_degree, sample_c_decorated_tree, sample_unicellular
-from .stats import tv_distance
 from .trees import parse_plane_code, plane_embeddings_count
 
 # pass-flag settings no caller varies; local-limit reports print the first three
@@ -214,6 +215,28 @@ def _binomial_row(section: str, outcome: str, count: int, prob: float,
     else:
         z = 0.0 if freq == prob else math.copysign(math.inf, freq - prob)
     return ReportRow(section, outcome, freq, prob, se, z)
+
+
+def tv_distance(p: Mapping, q: Mapping) -> float:
+    """Total variation (1/2) sum |p - q|, with each table's missing mass
+    treated as a private residual outcome.
+
+    Tables need not sum to one: leftover mass on either side counts as its
+    own outcome, disjoint from the other side's, which keeps the result a
+    true distance on sub-probability tables.  A table whose floats sum
+    past one (rounding, or overlapping masses) has no leftover, so
+    d(p, p) == 0 for every table.
+    """
+    diffs = []
+    for k in set(p) | set(q):
+        pv, qv = float(p.get(k, 0)), float(q.get(k, 0))
+        if pv < 0 or qv < 0:
+            raise ValueError("negative probability")
+        diffs.append(abs(pv - qv))
+    # fsum is exactly rounded, so the result does not follow set order
+    rp = max(0.0, 1.0 - math.fsum(float(v) for v in p.values()))
+    rq = max(0.0, 1.0 - math.fsum(float(v) for v in q.values()))
+    return 0.5 * (math.fsum(diffs) + rp + rq)
 
 
 def _compare(section: str, counts, probs, n_samples: int, scored,

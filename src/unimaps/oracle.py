@@ -22,7 +22,11 @@ n = 8 (about 2e6 pairings, 2-core x86_64, CPython 3.11, numpy 2.4)
 `unimaps verify root-degree --n 8 --g 2 --samples 100 --reference
 exact` runs in 0.6-0.8 s at a peak RSS of 37 MB, and `unimaps oracle
 surgery --n 8 --g 2 --tree "(())"` in 24-28 s at 57 MB, nearly all of
-it in building each map and reading its ball.
+it in building each map and reading its ball.  Radius 3 costs far more
+memory, because the cached tally holds every distinct depth-3
+exploration code: `--tree "((()))"` took 91 s at 1736 MB at n = 8 and
+5 s at 171 MB at n = 7 (against 2 s at 34 MB for "(())"), and `unimaps
+verify surgery --nmax 7 --kmax 3` took 8-9 s at 179 MB (single runs).
 """
 
 from __future__ import annotations

@@ -1,46 +1,19 @@
-"""Small statistics toolkit for comparing empirical and exact laws.
+"""Chi-square goodness of fit for the tests' uniformity checks.
 
 Outcome tables are plain mappings from hashable outcomes to probabilities
-or counts; nothing here knows what the outcomes mean.
+or counts; nothing here knows what the outcomes mean.  scipy, which
+gives the p-value, comes with the package's test extra.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-__all__ = [
-    "OTHER",
-    "tv_distance",
-    "ChiSquareResult",
-    "chi_square_gof",
-]
+from scipy import stats as sps
 
 # bucket label for mass not covered by the listed outcomes
 OTHER = "!other"
-
-
-def tv_distance(p: Mapping, q: Mapping) -> float:
-    """Total variation (1/2) sum |p - q|, with each table's missing mass
-    treated as a private residual outcome.
-
-    Tables need not sum to one: leftover mass on either side counts as its
-    own outcome, disjoint from the other side's, which keeps the result a
-    true distance on sub-probability tables.  A table whose floats sum
-    past one (rounding, or overlapping masses) has no leftover, so
-    d(p, p) == 0 for every table.
-    """
-    diffs = []
-    for k in set(p) | set(q):
-        pv, qv = float(p.get(k, 0)), float(q.get(k, 0))
-        if pv < 0 or qv < 0:
-            raise ValueError("negative probability")
-        diffs.append(abs(pv - qv))
-    # fsum is exactly rounded, so the result does not follow set order
-    rp = max(0.0, 1.0 - math.fsum(float(v) for v in p.values()))
-    rq = max(0.0, 1.0 - math.fsum(float(v) for v in q.values()))
-    return 0.5 * (math.fsum(diffs) + rp + rq)
 
 
 @dataclass(frozen=True)
@@ -59,10 +32,6 @@ def chi_square_gof(counts: Mapping, probs: Mapping, n_samples: int,
     all theory mass outside the listed outcomes; observed counts follow the
     same pooling, so the statistic is a valid multinomial chi-square.
     """
-    # imported here: scipy.stats takes longer to import than the whole
-    # package and roughly triples its memory, and no CLI path needs it
-    from scipy import stats as sps
-
     kept = {k: float(p) for k, p in probs.items()
             if float(p) * n_samples >= min_expected}
     other_p = 1.0 - sum(kept.values())

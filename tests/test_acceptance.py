@@ -3,10 +3,10 @@
 Every test here is deterministic: fixed seeds, fixed configurations,
 tolerances stated inline.  Statistical checks use z-scores against
 binomial standard errors and total-variation caps; exact checks compare
-integers.  The module takes about 90 s on a 2-core x86_64 machine,
-most of the whole suite's two minutes, nearly all of it in the four
-sampling tests of the root degree, ball frequencies, odd-cycle
-uniformity and near-planar balls.
+integers.  The module takes about 27 s on a 2-core x86_64 machine, of
+a whole suite of 36-43 s, nearly all of it in the four sampling tests
+of the root degree, ball frequencies, odd-cycle uniformity and
+near-planar balls.
 """
 
 import math
@@ -34,9 +34,10 @@ from unimaps.experiments import (
 )
 from unimaps.oracle import census, verify_surgery
 from unimaps.sampler import OddCyclePermutationSampler, sample_unicellular
-from unimaps.stats import chi_square_gof
 from unimaps.trees import dyck_forest_codes, enumerate_plane_trees, plane_code
 from unimaps.cli import main
+
+from chi_square import chi_square_gof
 
 
 def test_closed_form_counts_match_exhaustive_enumeration():

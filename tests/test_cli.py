@@ -437,6 +437,15 @@ def test_verify_local_limit_exact_small_case(capsys):
     assert "# passed=True" in out
 
 
+def test_verify_local_limit_critical_compares_with_the_half_law(capsys):
+    code, out, _ = run(capsys, ["verify", "local-limit", "--n", "40", "--g", "1",
+                                "--r", "1", "2", "--samples", "50", "--critical"])
+    assert code in (0, 1)
+    header = out.split("\n# build=")[0].splitlines()
+    assert "# beta=0.0" in header
+    assert "# xi=0.5" in header
+
+
 def test_verify_local_limit_repeated_radius_is_usage_error(capsys):
     # a repeated radius would print and count its sections twice
     code, out, err = run(capsys, ["verify", "local-limit", "--n", "40", "--g", "5",
@@ -600,3 +609,29 @@ def test_consecutive_calls_match_fresh_runs(capsys, calls):
 def test_parsed_defaults_are_not_shared_lists():
     args = build_parser().parse_args(LOCAL_LIMIT)
     assert args.r == (1, 2) and isinstance(args.r, tuple)
+
+
+SCIPY_FREE_LINES = [
+    "count --n 8",
+    "beta --theta 0.25",
+    "root-degree --theta 0.25",
+    "sample --n 40 --g 5 --samples 5",
+    "gw --xi 0.3 --r 2 --samples 100",
+    "oracle census --n 5",
+    "oracle surgery --n 5 --g 1 --tree (())",
+    "verify local-limit --n 40 --g 5 --r 1 2 --samples 50",
+    "verify root-degree --n 40 --g 5 --samples 50",
+    "verify surgery --nmax 4 --kmax 2",
+    "degree-profile --n 40 --g 5 --r 3 --samples 50",
+]
+
+
+def test_every_subcommand_runs_without_scipy(capsys, monkeypatch):
+    # scipy is a test dependency only: a None entry makes any import of it
+    # on a command path raise ImportError, which main reports as exit 3.
+    # Module-level imports ran before this test; CI's job without the test
+    # extra covers those.
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    for line in SCIPY_FREE_LINES:
+        code, _, err = run(capsys, line.split())
+        assert code in (0, 1), (line, err)

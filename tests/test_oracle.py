@@ -1,11 +1,13 @@
 """Exhaustive small-case ground truth used to pin the fast routes."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from unimaps.counting import double_factorial
+from unimaps.counting import double_factorial, odd_cycle_perm_count
 from unimaps.maps import (
     Permutation,
     RotationMap,
@@ -28,7 +30,8 @@ from unimaps.oracle import (
     exact_tree_ball_dist,
     verify_surgery,
 )
-from unimaps.trees import parse_plane_code, unordered_code
+from unimaps.sampler import CDecoratedTree, _quotient, ball_as_tree, root_degree
+from unimaps.trees import enumerate_plane_trees, parse_plane_code, plane_code, unordered_code
 
 
 def test_census_frozen_tables():
@@ -141,3 +144,52 @@ def test_oracle_balls_match_the_sampler_ball_reader():
                 if is_tree:
                     assert (unordered_code(parse_plane_code(code))
                             == tree_ball_code(dist, src, dst, top))
+
+
+def _odd_cycle_labelings(m: int, s: int):
+    """(labels, sizes) of every permutation of 0..m-1 with s cycles, all
+    odd: each cycle listed from its least label, the cycles in order of
+    their least labels, so the root's cycle comes first."""
+    for images in permutations(range(m)):
+        labels, sizes = [], []
+        for start in range(m):
+            if start in labels:
+                continue
+            cycle = [start]
+            while images[cycle[-1]] != start:
+                cycle.append(images[cycle[-1]])
+            labels += cycle
+            sizes.append(len(cycle))
+        if len(sizes) == s and all(size % 2 for size in sizes):
+            yield np.array(labels), np.array(sizes)
+
+
+@pytest.mark.parametrize("n,g", [(n, g) for n in range(1, 6) for g in range(n // 2 + 1)]
+                         + [(6, 1)])
+def test_sampler_pushes_uniform_decorations_onto_the_oracle_laws(n, g):
+    # the sampler's deterministic half (validation, quotient, root degree,
+    # balls) applied to every (Dyck word, all-odd permutation) pair, each
+    # once, must give the exact laws of the gluing scan: by the
+    # Chapuy-Feray-Fusy bijection the quotient of a uniform decorated tree
+    # is the underlying graph of a uniform one-face map (signs, all +1
+    # here, do not enter the graph)
+    radii = (1, 2, 3)
+    s = n + 1 - 2 * g
+    labelings = list(_odd_cycle_labelings(n + 1, s))
+    assert len(labelings) == odd_cycle_perm_count(n + 1, s)
+    signs = np.ones(s, dtype=np.int8)
+    degrees, balls = Counter(), {r: Counter() for r in radii}
+    for tree in enumerate_plane_trees(n):
+        word = np.array([1 if step == "(" else -1 for step in plane_code(tree)], dtype=np.int8)
+        for labels, sizes in labelings:
+            cdt = CDecoratedTree(word, labels, sizes, signs)
+            degrees[root_degree(cdt)] += 1
+            for r, ball in zip(radii, ball_as_tree(_quotient(cdt), radii)):
+                balls[r][ball.unordered_code if ball.is_tree else NON_TREE] += 1
+    total = sum(degrees.values())
+    assert {d: Fraction(c, total) for d, c in degrees.items()} == exact_root_degree_dist(n, g)
+    for r in radii:
+        expected = Counter()
+        for code, p in exact_ball_dist(n, g, r).items():
+            expected[code if code == NON_TREE else unordered_code(parse_plane_code(code))] += p
+        assert {code: Fraction(c, total) for code, c in balls[r].items()} == dict(expected), r

@@ -26,8 +26,9 @@ from unimaps.sampler import (
     sample_odd_cycle_permutation,
     sample_unicellular,
 )
-from unimaps.stats import chi_square_gof
 from unimaps.trees import parse_plane_code, plane_code
+
+from chi_square import chi_square_gof
 
 
 def test_permutation_sampler_cycle_types():

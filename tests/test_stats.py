@@ -1,8 +1,10 @@
-"""Distance and goodness-of-fit helpers."""
+"""The report's TV distance and the tests' goodness-of-fit helper."""
 
 import pytest
 
-from unimaps.stats import chi_square_gof, tv_distance
+from unimaps.experiments import tv_distance
+
+from chi_square import chi_square_gof
 
 
 def test_tv_trivial_cases():

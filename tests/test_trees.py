@@ -18,7 +18,8 @@ from unimaps.trees import (
     sample_plane_tree,
     unordered_code,
 )
-from unimaps.stats import chi_square_gof
+
+from chi_square import chi_square_gof
 
 
 def test_catalan_prefix():
