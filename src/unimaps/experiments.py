@@ -367,7 +367,8 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
                                                         scored_head, Z_MAX)
             rows += section_rows
             tv.append((section, section_tv))
-            passed = passed and within
+            # a scored section with no ball in it checks nothing
+            passed = passed and within and (bool(section_rows) or not section_scored)
             if section_scored:
                 scored.append(section)
         for name in ("nontree", "merged", "shallow") if r > 1 else ("nontree", "shallow"):

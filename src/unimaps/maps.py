@@ -5,10 +5,12 @@ of each edge and ``sigma`` rotates the darts counterclockwise around
 their vertex.  Faces are the cycles of sigma composed after alpha, and
 the Euler relation v - n + f = 2 - 2g gives the genus.  The balls of a
 rooted multigraph are read off root_distances, one numpy pass per level
-over its edge arrays.  The balls of a rotation map are read by the
-non-backtracking walk from its root dart: unfolding_ball_code gives the
-exploration tree, and rotation_ball_code the subgraph ball, which is that
-tree exactly when the walk reaches no vertex twice.
+over its edge arrays.  The balls of a rotation map are read by one
+non-backtracking walk from its root dart (_ball_counts): unfolding_ball_code
+gives the exploration tree, and rotation_ball_code the subgraph ball, which
+is that tree exactly when the walk reaches no vertex twice.  The walk
+returns the tree's preorder child counts, a key that _counts_code decodes
+and _tree_counts gives for a PlaneTree.
 """
 
 from __future__ import annotations
@@ -84,17 +86,7 @@ class RotationMap:
 
     def root_degree(self) -> int:
         """Degree of the root vertex, i.e. number of darts around it."""
-        return len(_rotation(self.sigma, self.root_dart))
-
-
-def _rotation(sigma, dart: int) -> list[int]:
-    """The darts around dart's vertex in rotation order, dart first."""
-    around = [dart]
-    e = sigma[dart]
-    while e != dart:
-        around.append(e)
-        e = sigma[e]
-    return around
+        return _vertices(self.sigma)[1][self.root_dart]
 
 
 def faces_and_genus(alpha, sigma) -> tuple[int, int]:
@@ -277,99 +269,106 @@ def plane_tree_to_map(tree: PlaneTree) -> RotationMap:
     return RotationMap(tuple(alpha), sigma, 0)
 
 
+def _vertices(sigma) -> tuple[list[int], list[int]]:
+    """Per dart, the least dart of its sigma cycle (its vertex) and the
+    cycle's length (that vertex's degree)."""
+    vertex, degree = [0] * len(sigma), [0] * len(sigma)
+    for cycle in Permutation(tuple(sigma)).cycles():
+        for d in cycle:
+            vertex[d], degree[d] = cycle[0], len(cycle)
+    return vertex, degree
+
+
+def _ball_counts(alpha, sigma, vertex, degree, root: int, r: int,
+                 subgraph: bool) -> Optional[tuple[int, ...]]:
+    """Preorder child counts of the depth-r exploration tree from dart
+    root, read with the per-dart vertex and degree arrays of _vertices;
+    None when subgraph is set and the walk reaches a vertex twice.
+
+    The tree is the non-backtracking walk of length <= r: the root's
+    children leave by every dart around it, in rotation order from root,
+    and a vertex reached by dart a has one child per later dart of its
+    rotation, sigma(a) up to a, exclusive.  Only vertices above depth r
+    get a count: the root's degree, then degree - 1 at each later one.
+    A vertex reached twice appears once per arrival, so loops and
+    parallel edges unfold into distinct subtrees, which makes replacing
+    the explored region by a star of its boundary edges invertible.
+
+    The subgraph ball is a tree exactly when no vertex recurs, and it is
+    then this tree: two walks to one vertex close a cycle of ball edges,
+    a ball edge off a breadth-first tree gives a second walk to its far
+    end, and with no repeat every exit leads to a child.
+    """
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+    counts: list[int] = []
+    seen = set()
+    # (arrival dart, depth); the root's entry stands for no arrival
+    stack = [(root, 0)]
+    while stack:
+        dart, depth = stack.pop()
+        if subgraph:
+            if vertex[dart] in seen:
+                return None
+            seen.add(vertex[dart])
+        if depth == r:
+            continue
+        e = sigma[dart] if depth else dart
+        children = degree[dart] - (depth > 0)
+        counts.append(children)
+        if subgraph or depth + 2 < r:
+            arrivals = []
+            for _ in range(children):
+                arrivals.append(alpha[e])
+                e = sigma[e]
+            stack.extend((a, depth + 1) for a in reversed(arrivals))
+        elif depth + 2 == r:
+            # children one step short of r have only leaves below them
+            for _ in range(children):
+                counts.append(degree[alpha[e]] - 1)
+                e = sigma[e]
+    return tuple(counts)
+
+
+def _tree_counts(tree: PlaneTree, r: int) -> tuple[int, ...]:
+    """The _ball_counts key of a plane tree of height <= r."""
+    return tuple(len(cs) for cs, h in zip(tree.children, tree.heights()) if h < r)
+
+
+def _counts_code(counts, r: int) -> str:
+    """Plane code of the tree of a _ball_counts key at radius r."""
+    rest = iter(counts)
+    code: list[str] = []
+    # children still to open at each vertex of the current path; a vertex
+    # at depth r has no count and no children
+    pending = [next(rest)] if r else []
+    while pending:
+        if pending[-1]:
+            pending[-1] -= 1
+            code.append("(")
+            pending.append(next(rest) if len(pending) < r else 0)
+        else:
+            pending.pop()
+            code.append(")")
+    # the root closes no edge
+    return "".join(code[:-1])
+
+
 def rotation_ball_code(m: RotationMap, r: int) -> tuple[bool, Optional[str]]:
     """Ball of radius r in a rotation map, compared as a plane structure.
 
     Returns (is_tree, code): ``code`` is the tree ball's contour code in
     rotation order from the root dart, and non-tree balls get
-    (False, None).  The ball is a tree exactly when the non-backtracking
-    walks of length <= r from the root reach no vertex twice (a vertex is
-    named by the least dart of its sigma cycle), and it is then the
-    exploration tree of unfolding_ball_code:
-    - two distinct such walks that end at one vertex close a cycle whose
-      edges each have an end nearer than r, so the ball holds a cycle, a
-      loop or a double edge;
-    - conversely, a ball edge off a breadth-first tree gives a second
-      walk to its far end;
-    - with no repeat, every vertex within r is reached once and every
-      exit leads to a child, so the ball is the exploration tree,
-      rotation order included.
+    (False, None).  A tree ball is the exploration tree of
+    unfolding_ball_code (see _ball_counts).
     """
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    sigma, alpha = m.sigma, m.alpha
-    # the root has no arrival dart: every dart around it is an exit
-    around = _rotation(sigma, m.root_dart)
-    seen = {min(around)}
-    stack = [(alpha[e], 1) for e in around] if r else []
-    while stack:
-        arrival, depth = stack.pop()
-        around = _rotation(sigma, arrival)
-        if min(around) in seen:
-            return False, None
-        seen.add(min(around))
-        if depth < r:
-            # elsewhere the exits are the rotation after the arrival dart
-            stack.extend((alpha[e], depth + 1) for e in around[1:])
-    return True, unfolding_ball_code(m, r)
+    counts = _ball_counts(m.alpha, m.sigma, *_vertices(m.sigma), m.root_dart, r, True)
+    return (False, None) if counts is None else (True, _counts_code(counts, r))
 
 
 def unfolding_ball_code(m: RotationMap, r: int) -> str:
-    """Depth-r non-backtracking exploration tree of a rotation map.
-
-    Walks outward from the root for r steps, never immediately reversing
-    an edge, and records the branching it sees as a plane code.  A vertex
-    reached twice appears once per arrival, so a loop or a pair of
-    parallel edges unfolds into distinct subtrees instead of closing a
-    cycle.  This is the radius-r view for which replacing the explored
-    region by a star of its boundary edges is exactly invertible; the
-    plain subgraph ball of rotation_ball_code loses that property as soon
-    as the neighborhood of the root carries a loop or a multiple edge.
-    """
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    if r == 0:
-        return ""
-    sigma = m.sigma
-    alpha = m.alpha
-    degree = [0] * len(sigma)  # per dart, filled for a vertex when first read
-    out: list[str] = []
-
-    def degree_at(dart: int) -> int:
-        if not degree[dart]:
-            cycle = [dart]
-            e = sigma[dart]
-            while e != dart:
-                cycle.append(e)
-                e = sigma[e]
-            for d in cycle:
-                degree[d] = len(cycle)
-        return degree[dart]
-
-    def explore(arrival: int, depth: int) -> None:
-        # exits are the rotation at the current vertex starting after the
-        # arrival dart; skipping the arrival itself bans the reversal.  At
-        # depth r - 1 every exit is a leaf, so only their number matters.
-        if depth == r - 1:
-            out.append("()" * (degree_at(arrival) - 1))
-            return
-        e = sigma[arrival]
-        while e != arrival:
-            out.append("(")
-            explore(alpha[e], depth + 1)
-            out.append(")")
-            e = sigma[e]
-
-    # the root vertex has no arrival direction: every dart is an exit,
-    # in rotation order starting at the root dart
-    if r == 1:
-        return "()" * degree_at(m.root_dart)
-    e = m.root_dart
-    first = True
-    while first or e != m.root_dart:
-        first = False
-        out.append("(")
-        explore(alpha[e], 1)
-        out.append(")")
-        e = sigma[e]
-    return "".join(out)
+    """Depth-r non-backtracking exploration tree of a rotation map as a
+    plane code.  Unlike the subgraph ball of rotation_ball_code it stays
+    a tree through loops and multiple edges (see _ball_counts)."""
+    counts = _ball_counts(m.alpha, m.sigma, *_vertices(m.sigma), m.root_dart, r, False)
+    return _counts_code(counts, r)

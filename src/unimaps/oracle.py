@@ -11,22 +11,19 @@ exists: it shares no formulas with the counting and sampling code it
 checks.
 
 The pairings are scanned as int8 arrays, one column per pairing, in
-blocks of at most BLOCK_ENTRIES darts, and pointer doubling reads the
-vertex count and root degree of every map of a block at once (see
-_map_blocks).  There is one scan per (n, reading), kept as counts, never
-as a list of maps: {(genus, root degree): maps} per n, and
-{(genus, ball code): maps} per (n, r, ball reader), whose readers take
-one map at a time.  Both walk the non-backtracking exploration from the
-root dart; the subgraph ball is that tree unless a vertex recurs.  At
-n = 8 (about 2e6 pairings, 2-core x86_64, CPython 3.11, numpy 2.4)
-`unimaps verify root-degree --n 8 --g 2 --samples 100 --reference
-exact` runs in 0.6-0.8 s at a peak RSS of 37 MB, and `unimaps oracle
-surgery --n 8 --g 2 --tree "(())"` in 24-28 s at 57 MB, nearly all of
-it in building each map and reading its ball.  Radius 3 costs far more
-memory, because the cached tally holds every distinct depth-3
-exploration code: `--tree "((()))"` took 91 s at 1736 MB at n = 8 and
-5 s at 171 MB at n = 7 (against 2 s at 34 MB for "(())"), and `unimaps
-verify surgery --nmax 7 --kmax 3` took 8-9 s at 179 MB (single runs).
+blocks of at most BLOCK_ENTRIES darts, and pointer doubling labels every
+dart of a block with its vertex at once (see _map_blocks).  There is one
+scan per (n, reading), kept as counts, never as a list of maps:
+{(genus, root degree): maps} per n, and {(genus, ball key): maps} per
+(n, r, subgraph or exploration reading).  A ball key is the bytes of the
+one walk maps._ball_counts makes per map from the block's labels, and
+only the keys that occur are decoded.  At n = 8 (about 2e6 pairings,
+2-core x86_64, CPython 3.11, numpy 2.4) `unimaps verify root-degree --n
+8 --g 2 --samples 100 --reference exact` runs in 0.6-0.8 s at a peak RSS
+of 37 MB, and `unimaps oracle surgery --n 8 --g 2 --tree "(())"` in
+8.5 s at 48 MB, nearly all of it in the walks.  Radius 3 costs more:
+`--tree "((()))"` took 45 s at 290 MB at n = 8, and `unimaps verify
+surgery --nmax 7 --kmax 3` 2.4-3.6 s at 58 MB (single runs).
 """
 
 from __future__ import annotations
@@ -36,12 +33,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .counting import double_factorial
-from .maps import RotationMap, rotation_ball_code, unfolding_ball_code
+from .maps import RotationMap, _ball_counts, _counts_code, _tree_counts
 from .trees import PlaneTree, catalan, enumerate_plane_trees, plane_code
 
 __all__ = [
@@ -61,10 +58,8 @@ __all__ = [
 ENUM_CAP = 8
 
 # The most darts (pairings x 2n) one block of the scan holds; its index
-# arrays take 8 bytes a dart.  _maps turns its blocks into tuples, which
-# take far more, so its blocks are smaller.
+# array takes 8 bytes a dart and is freed before the block is yielded.
 BLOCK_ENTRIES = 2 ** 14
-ROW_BLOCK_ENTRIES = 2 ** 11
 
 # outcome label for balls that contain a cycle
 NON_TREE = "!nontree"
@@ -110,17 +105,18 @@ def _pairing_blocks(two_n: int, maps: int) -> Iterator[np.ndarray]:
 
 
 def _map_blocks(n: int, entries: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """(alpha, sigma, vertex count, root degree) of every map with n
-    edges, in blocks of at most entries darts: alpha and sigma hold one
-    column per map, the counts one entry.
+    """(alpha, sigma, lab, vertex count, root degree) of every map with n
+    edges, in blocks of at most entries darts: alpha, sigma and lab hold
+    one column per map, the counts one entry.
 
     sigma(d) = alpha(d) + 1 mod 2n.  Pointer doubling reads its cycles:
     lab[d] starts as min(d, sigma(d)) and step as sigma, and each round
     squares step and sets lab[d] = min(lab[d], lab[step[d]]), so after k
     rounds lab[d] is the least of d, sigma(d), ..., sigma^(2^(k+1) - 1)(d)
-    and ceil(log2 2n) - 1 rounds cover every cycle.  A map's vertices are
-    its darts that are their cycle's least, and its root degree is the
-    number of darts whose least is 0.
+    and ceil(log2 2n) - 1 rounds cover every cycle, so lab[d] is the
+    least dart of d's vertex.  A map's vertices are its darts that are
+    their own lab, and its root degree is the number of darts whose lab
+    is 0.
     """
     _check_n(n)
     two_n = 2 * n
@@ -139,7 +135,8 @@ def _map_blocks(n: int, entries: int) -> Iterator[tuple[np.ndarray, ...]]:
             step = step[step]
             lab = np.minimum(lab, lab[step])
         lab = lab.reshape(alpha.shape)
-        yield (alpha, sigma, np.count_nonzero(lab == darts[:, None], axis=0),
+        del step
+        yield (alpha, sigma, lab, np.count_nonzero(lab == darts[:, None], axis=0),
                np.count_nonzero(lab == 0, axis=0))
 
 
@@ -150,18 +147,22 @@ def _genus(n: int, vertices: int) -> int:
     return genus
 
 
-def _maps(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
-    """(alpha, sigma, genus, root degree) of every map with n edges."""
-    for alpha, sigma, vertices, degree in _map_blocks(n, ROW_BLOCK_ENTRIES):
-        for a, s, v, d in zip(alpha.T.tolist(), sigma.T.tolist(), vertices.tolist(),
-                              degree.tolist()):
-            yield tuple(a), tuple(s), _genus(n, v), d
+def _maps(n: int) -> Iterator[tuple[list[int], list[int], list[int], list[int], int]]:
+    """(alpha, sigma, vertex, degree, genus) of every map with n edges:
+    vertex[d] is the least dart of d's vertex and degree[d] its degree."""
+    for alpha, sigma, lab, vertices, _ in _map_blocks(n, BLOCK_ENTRIES):
+        maps = alpha.shape[1]
+        # one cell per (vertex, map), so its count is the vertex's degree
+        cell = np.multiply(lab, maps, dtype=np.intp) + np.arange(maps)
+        degree = np.bincount(cell.ravel()).take(cell)
+        yield from zip(alpha.T.tolist(), sigma.T.tolist(), lab.T.tolist(),
+                       degree.T.tolist(), (_genus(n, v) for v in vertices.tolist()))
 
 
 def enumerate_unicellular(n: int) -> Iterator[RotationMap]:
     """All rooted one-face maps with n edges, each exactly once."""
-    for alpha, sigma, _, _ in _maps(n):
-        yield RotationMap(alpha, sigma, root_dart=0)
+    for alpha, sigma, _, _, _ in _maps(n):
+        yield RotationMap(tuple(alpha), tuple(sigma), root_dart=0)
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def _degree_tally(n: int) -> Counter:
     """{(genus, root degree): maps} over the maps with n edges."""
     stride = 2 * n + 1
     counts = np.zeros((n + 2) * stride, dtype=np.int64)
-    for _, _, vertices, degree in _map_blocks(n, BLOCK_ENTRIES):
+    for _, _, _, vertices, degree in _map_blocks(n, BLOCK_ENTRIES):
         counts += np.bincount(vertices * stride + degree, minlength=len(counts))
     tally: Counter = Counter()
     for key in np.flatnonzero(counts).tolist():
@@ -184,17 +185,15 @@ def _degree_tally(n: int) -> Counter:
     return tally
 
 
-def _ball_reading(m: RotationMap, r: int) -> str:
-    """The radius-r ball as a plane code, or NON_TREE."""
-    is_tree, code = rotation_ball_code(m, r)
-    return code if is_tree else NON_TREE
-
-
 @lru_cache(maxsize=None)
-def _ball_tally(n: int, r: int, reader: Callable[[RotationMap, int], str]) -> Counter:
-    """{(genus, reader(map, r)): maps} over the maps with n edges."""
-    return Counter((gg, reader(RotationMap(alpha, sigma, 0), r))
-                   for alpha, sigma, gg, _ in _maps(n))
+def _ball_tally(n: int, r: int, subgraph: bool) -> Counter:
+    """{(genus, key): maps} over the maps with n edges; key is the radius-r
+    _ball_counts as bytes (no count exceeds 2n), or None for a non-tree ball."""
+    tally: Counter = Counter()
+    for alpha, sigma, vertex, degree, genus in _maps(n):
+        counts = _ball_counts(alpha, sigma, vertex, degree, 0, r, subgraph)
+        tally[genus, None if counts is None else bytes(counts)] += 1
+    return tally
 
 
 def census(n: int) -> GluingCensus:
@@ -231,7 +230,8 @@ def exact_ball_dist(n: int, g: int, r: int) -> dict:
     Tree balls appear under their contour code; balls containing a cycle
     are pooled under NON_TREE.
     """
-    return _genus_law(_ball_tally(n, r, _ball_reading), n, g)
+    law = _genus_law(_ball_tally(n, r, True), n, g)
+    return {NON_TREE if key is None else _counts_code(key, r): p for key, p in law.items()}
 
 
 def exact_tree_ball_dist(n: int, r: int) -> dict:
@@ -270,7 +270,7 @@ def verify_surgery(n: int, g: int, t: PlaneTree) -> SurgeryCheck:
     height.  Contracting the explored region onto the root (and expanding
     back) is a bijection between the two sets being counted, which is what
     makes ball probabilities depend on t only through (k, d).  The left
-    side uses unfolding_ball_code, not the subgraph ball: a loop or a
+    side reads the exploration tree, not the subgraph ball: a loop or a
     double edge at the root contracts out of existence in the subgraph
     reading, and the count identity then fails at positive genus, while
     the exploration tree keeps one branch per dart and stays in exact
@@ -287,6 +287,6 @@ def verify_surgery(n: int, g: int, t: PlaneTree) -> SurgeryCheck:
         raise ValueError(f"n - k + d = {n_rhs} has no maps")
     if 2 * g > n_rhs:
         raise ValueError(f"genus {g} impossible at n - k + d = {n_rhs}")
-    lhs = _ball_tally(n, r, unfolding_ball_code)[(g, plane_code(t))]
+    lhs = _ball_tally(n, r, False)[(g, bytes(_tree_counts(t, r)))]
     rhs = _degree_tally(n_rhs)[(g, d)]
     return SurgeryCheck(n, g, k, d, r, lhs, rhs)

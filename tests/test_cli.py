@@ -457,10 +457,12 @@ def test_verify_local_limit_repeated_radius_is_usage_error(capsys):
 
 def test_verify_local_limit_radius_past_the_vertex_count(capsys):
     # the ball stops growing at the vertex count, so no radius overflows
-    # int64; it is then the whole graph, which at genus 5 has cycles
+    # int64; it is then the whole graph, which at genus 5 has cycles, and
+    # its scored sections, holding no ball, fail the run
     code, out, _ = run(capsys, ["verify", "local-limit", "--n", "40", "--g", "5",
                                 "--r", "1", "99999999999999999999", "--samples", "20"])
-    assert code == 0
+    assert code == 1
+    assert "# passed=False\n" in out
     assert "# radii=1,99999999999999999999\n" in out
     assert "# mass.nontree_r99999999999999999999=1.0\n" in out
 

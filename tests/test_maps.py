@@ -5,6 +5,10 @@ import pytest
 from unimaps.maps import (
     Permutation,
     RotationMap,
+    _ball_counts,
+    _counts_code,
+    _tree_counts,
+    _vertices,
     faces_and_genus,
     plane_tree_to_map,
     rotation_ball_code,
@@ -12,7 +16,7 @@ from unimaps.maps import (
 )
 from unimaps.oracle import enumerate_unicellular
 from unimaps.counting import double_factorial
-from unimaps.trees import enumerate_plane_trees, plane_code
+from unimaps.trees import enumerate_plane_trees, parse_plane_code, plane_code
 
 
 def test_permutation_basics():
@@ -48,6 +52,25 @@ def test_ball_code_of_tree_map_is_the_tree():
         assert is_tree
         assert code == plane_code(tree)
         assert unfolding_ball_code(m, 10) == plane_code(tree)
+    # the readers keep no stack frame per level, so a path deeper than
+    # the interpreter's recursion limit reads too
+    path = parse_plane_code("(" * 3000 + ")" * 3000)
+    assert rotation_ball_code(plane_tree_to_map(path), 5000) == (True, plane_code(path))
+
+
+def test_ball_keys_name_plane_trees():
+    # at r = height and height + 1 the key decodes back to the tree, and
+    # the walker on the tree's own map reads the same key
+    for n in range(8):
+        for tree in enumerate_plane_trees(n):
+            for r in (tree.height(), tree.height() + 1):
+                counts = _tree_counts(tree, r)
+                assert _counts_code(counts, r) == plane_code(tree)
+                if n:
+                    m = plane_tree_to_map(tree)
+                    for subgraph in (True, False):
+                        assert _ball_counts(m.alpha, m.sigma, *_vertices(m.sigma), 0, r,
+                                            subgraph) == counts
 
 
 def test_ball_codes_on_the_one_edge_loop():

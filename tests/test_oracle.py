@@ -15,11 +15,9 @@ from unimaps.maps import (
     root_distances,
     rotation_ball_code,
     tree_ball_code,
-    unfolding_ball_code,
 )
 from unimaps.oracle import (
     NON_TREE,
-    _ball_reading,
     _ball_tally,
     _degree_tally,
     _map_blocks,
@@ -94,16 +92,20 @@ def test_surgery_radius_one():
 
 def test_one_walk_reads_genus_and_root_degree_of_every_map():
     for n in range(1, 7):
-        for alpha, sigma, genus, root_degree in _maps(n):
+        for alpha, sigma, vertex, degree, genus in _maps(n):
             assert faces_and_genus(alpha, sigma) == (1, genus)
-            assert root_degree == RotationMap(alpha, sigma, 0).root_degree()
+            # the ball walker trusts these: each dart's least cycle-mate
+            # and cycle length
+            for cycle in Permutation(tuple(sigma)).cycles():
+                for d in cycle:
+                    assert (vertex[d], degree[d]) == (cycle[0], len(cycle))
 
 
 @pytest.mark.parametrize("entries", [2 ** 6, 2 ** 14])
 def test_blocks_hold_every_pairing_once(entries):
     for n in range(1, 7):
         seen = set()
-        for alpha, _, _, _ in _map_blocks(n, entries):
+        for alpha, _, _, _, _ in _map_blocks(n, entries):
             assert alpha.shape[0] == 2 * n and alpha.size <= entries
             for column in alpha.T.tolist():
                 assert all(column[column[d]] == d != column[d] for d in range(2 * n))
@@ -116,8 +118,8 @@ def test_every_tally_counts_every_map_once():
         total = double_factorial(2 * n - 1)
         assert sum(_degree_tally(n).values()) == total
         for r in (1, 2):
-            for reader in (_ball_reading, unfolding_ball_code):
-                assert sum(_ball_tally(n, r, reader).values()) == total
+            for subgraph in (True, False):
+                assert sum(_ball_tally(n, r, subgraph).values()) == total
 
 
 def test_oracle_balls_match_the_sampler_ball_reader():
@@ -125,15 +127,15 @@ def test_oracle_balls_match_the_sampler_ball_reader():
     # the underlying graph: one vertex per sigma cycle, one edge per alpha
     # pair, the tree test by edge count
     for n in range(1, 7):
-        for alpha, sigma, _, _ in _maps(n):
+        for alpha, sigma, _, _, _ in _maps(n):
             owner = [0] * (2 * n)
-            cycles = Permutation(sigma).cycles()
+            cycles = Permutation(tuple(sigma)).cycles()
             for v, cycle in enumerate(cycles):
                 for d in cycle:
                     owner[d] = v
             src = np.array([owner[d] for d in range(2 * n) if d < alpha[d]])
             dst = np.array([owner[alpha[d]] for d in range(2 * n) if d < alpha[d]])
-            m = RotationMap(alpha, sigma, 0)
+            m = RotationMap(tuple(alpha), tuple(sigma), 0)
             for r in (1, 2, 3):
                 # no ball grows past the vertex count
                 top = min(r, len(cycles))
