@@ -38,7 +38,7 @@ from .experiments import (
     run_local_limit,
     run_root_degree,
 )
-from .oracle import census, verify_surgery
+from .oracle import ENUM_CAP, census, verify_surgery
 from .sampler import sample_unicellular
 from .trees import enumerate_plane_trees, parse_plane_code, plane_code
 
@@ -163,6 +163,9 @@ def _cmd_verify_surgery(args) -> int:
     for flag in ("nmax", "kmax"):
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag} must be >= 1")
+    if args.nmax > ENUM_CAP:  # before the sweep scans every smaller n
+        raise ValueError(f"--nmax must be <= {ENUM_CAP}: exhaustive enumeration"
+                         f" capped at n={ENUM_CAP}")
     checks = []
     for k in range(1, args.kmax + 1):
         for tree in enumerate_plane_trees(k):

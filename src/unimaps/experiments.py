@@ -40,7 +40,7 @@ from .distributions import (
     inf_ball_generations,
     root_degree_pmf_beta,
 )
-from .oracle import exact_ball_dist, exact_root_degree_dist, exact_tree_ball_dist
+from .oracle import exact_root_degree_dist
 from .sampler import ball_as_tree, root_degree, sample_c_decorated_tree, sample_unicellular
 from .trees import parse_plane_code, plane_embeddings_count
 
@@ -196,14 +196,15 @@ def _draws(cfg: ExperimentConfig, draw):
     in order.
 
     The samples split as evenly as they go, the first streams taking one
-    more, and a stream with none draws nothing, so what is drawn depends
-    only on (seed, samples, workers).
+    more, so what is drawn depends only on (seed, samples, workers).  Child
+    i of a spawn does not depend on how many are spawned, so the streams
+    past cfg.samples, which would draw nothing, are never built.
     """
     base, extra = divmod(cfg.samples, cfg.workers)
-    for i, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.workers)):
+    streams = np.random.SeedSequence(cfg.seed).spawn(min(cfg.workers, cfg.samples))
+    for i, stream in enumerate(streams):
         count = base + (i < extra)
-        if count:
-            yield from draw(np.random.default_rng(stream), count)
+        yield from draw(np.random.default_rng(stream), count)
 
 
 def _binomial_row(section: str, outcome: str, count: int, prob: float,
@@ -294,8 +295,7 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
     head is what a finite run can actually certify; the full table still
     lands in the report.
 
-    With g=0 and n small the sampling is replaced by exact enumeration
-    against the truncated uniform-tree law.  Passing xi overrides the
+    Every run samples, whatever (n, g).  Passing xi overrides the
     theta-resolved limit parameter; xi=0.5 compares against the critical
     law, the stated limit when theta -> 0.
     """
@@ -303,8 +303,6 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
         raise ValueError("radii must be >= 1")
     if len(set(radii)) < len(radii):
         raise ValueError("radii must not repeat")
-    if cfg.g == 0 and cfg.n <= 6:
-        return _exact_local_limit(cfg, radii)
     beta, xi_val, constants = _resolve_constants(cfg.theta, xi)
 
     # merged vertices cost a star nothing, so the merged leftover starts
@@ -344,9 +342,10 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
             k_edges, d, embeddings = _shape_stats(code)
             p_kd = ball_probability_kd(xi_val, k_edges, d)
             shape_probs[code] = embeddings * p_kd
-            kd = f"k={k_edges} d={d}"  # cells read at r = 2 only
-            kd_counts[kd] += count
-            kd_probs[kd] = _height2_tree_count(k_edges, d) * p_kd
+            if r == 2:
+                kd = f"k={k_edges} d={d}"
+                kd_counts[kd] += count
+                kd_probs[kd] = _height2_tree_count(k_edges, d) * p_kd
         sections = []
         if r > 1:
             plane_probs = {code: ball_probability(xi_val, parse_plane_code(code))
@@ -381,30 +380,6 @@ def run_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...],
               ("z_max", Z_MAX), ("min_expected", MIN_EXPECTED), ("top_m", TOP_M))
     return ComparisonReport("local-limit", params, constants, tuple(rows),
                             tuple(tv), tuple(masses), passed, tuple(scored))
-
-
-def _exact_local_limit(cfg: ExperimentConfig, radii: tuple[int, ...]) -> ComparisonReport:
-    """Planar small-n check: enumerated ball law versus truncated trees."""
-    rows: list[ReportRow] = []
-    tv: list[tuple[str, float]] = []
-    passed = True
-    for r in radii:
-        by_map = exact_ball_dist(cfg.n, 0, r)
-        by_tree = exact_tree_ball_dist(cfg.n, r)
-        equal = by_map == by_tree
-        passed = passed and equal
-        for code in sorted(by_tree):
-            p_map = float(by_map.get(code, 0))
-            p_tree = float(by_tree[code])
-            rows.append(ReportRow(f"exact_r{r}", code, p_map, p_tree, 0.0, 0.0))
-        tv.append((f"exact_r{r}", tv_distance(by_map, by_tree)))
-    params = (("n", cfg.n), ("g", cfg.g), ("radii", ",".join(map(str, radii))),
-              ("samples", 0), ("seed", cfg.seed), ("workers", cfg.workers))
-    # the g=0 limit parameters; the comparison itself is enumeration only
-    constants = _resolve_constants(0.0, 0.5)[2]
-    return ComparisonReport("local-limit", params, constants, tuple(rows),
-                            tuple(tv), tuple(),
-                            passed, tuple(f"exact_r{r}" for r in radii))
 
 
 def run_root_degree(cfg: ExperimentConfig, reference: str = "limit",

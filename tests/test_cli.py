@@ -262,7 +262,7 @@ def test_gw_deep_radius_is_refused_at_once(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["count", "--n", "4"],
-    ["verify", "local-limit", "--n", "5", "--g", "0"],
+    ["verify", "local-limit", "--n", "5", "--g", "0", "--samples", "5"],
 ])
 def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
     for path in (tmp_path / "missing" / "x.csv", tmp_path):
@@ -335,6 +335,13 @@ def test_empty_surgery_sweep_is_usage_error(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert f"{flag} must be >= 1" in err
+
+
+def test_surgery_sweep_past_the_enumeration_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, ["verify", "surgery", "--nmax", "9", "--kmax", "3"])
+    assert code == 2
+    assert out == ""
+    assert "--nmax must be <= 8" in err
 
 
 def test_exact_reference_cap_is_checked_before_sampling(capsys, monkeypatch):
@@ -429,12 +436,14 @@ def test_verify_surgery_sweep_exits_zero(capsys):
     assert all(line.endswith("True") for line in lines[1:])
 
 
-def test_verify_local_limit_exact_small_case(capsys):
-    code, out, _ = run(capsys, ["verify", "local-limit", "--n", "5",
-                                "--g", "0"])
-    assert code == 0
+def test_verify_local_limit_small_planar_case_samples(capsys):
+    code, out, _ = run(capsys, ["verify", "local-limit", "--n", "6", "--g", "0",
+                                "--r", "1", "2", "--samples", "50", "--seed", "9"])
+    assert code in (0, 1)
     assert out.startswith("# kind=local-limit\n")
-    assert "# passed=True" in out
+    assert "# samples=50\n" in out
+    assert "shape_r2" in out
+    assert "exact_r" not in out
 
 
 def test_verify_local_limit_critical_compares_with_the_half_law(capsys):

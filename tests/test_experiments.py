@@ -1,4 +1,4 @@
-"""Experiment drivers: reports, determinism, and the exact small mode."""
+"""Experiment drivers: reports, determinism and seed streams."""
 
 import json
 import math
@@ -50,17 +50,6 @@ def test_binomial_row_z_scores():
     assert _binomial_row("s", "c", 0, 0.0, 100).z == 0.0
 
 
-def test_exact_small_mode():
-    cfg = ExperimentConfig(n=5, g=0, samples=10)
-    report = run_local_limit(cfg, radii=(1, 2))
-    assert report.passed
-    assert report.scored == ("exact_r1", "exact_r2")
-    assert report.tv_of("exact_r1") == 0.0
-    assert report.tv_of("exact_r2") == 0.0
-    for row in report.rows:
-        assert row.observed == row.expected
-
-
 def test_build_id_reads_the_sources_without_a_subprocess(monkeypatch):
     def no_subprocess(*args, **kwargs):
         raise AssertionError("build_id started a subprocess")
@@ -74,7 +63,7 @@ def test_build_id_reads_the_sources_without_a_subprocess(monkeypatch):
 
 
 def test_report_headers_and_formats():
-    cfg = ExperimentConfig(n=5, g=0)
+    cfg = ExperimentConfig(n=40, g=5, samples=20)
     report = run_local_limit(cfg, radii=(1,))
     constants = dict(report.constants)
     assert {"beta", "xi", "z_beta", "build"} <= set(constants)
@@ -150,6 +139,15 @@ def test_streams_past_the_sample_count_draw_nothing():
     assert dict(report.params)["workers"] == 5
 
 
+def test_worker_count_far_past_the_samples_builds_no_idle_stream():
+    # spawning 10**12 seed streams up front would not fit in memory
+    few = run_root_degree(ExperimentConfig(n=10, g=2, samples=3, seed=4, workers=3))
+    many = run_root_degree(ExperimentConfig(n=10, g=2, samples=3, seed=4, workers=10**12))
+    assert many.rows == few.rows
+    assert many.tv == few.tv
+    assert many.passed == few.passed
+
+
 def test_root_degree_exact_reference():
     cfg = ExperimentConfig(n=4, g=1, samples=20_000, seed=17, workers=2)
     report = run_root_degree(cfg, reference="exact")
@@ -174,7 +172,7 @@ def test_degree_profile_identity_and_convergence():
 
 
 def test_report_accessors_raise_on_unknown():
-    cfg = ExperimentConfig(n=5, g=0)
+    cfg = ExperimentConfig(n=5, g=0, samples=20)
     report = run_local_limit(cfg, radii=(1,))
     assert isinstance(report, ComparisonReport)
     with pytest.raises(KeyError):

@@ -57,8 +57,8 @@ def test_root_degree_sums_to_one():
 
 
 def test_planar_balls_equal_truncated_trees():
-    for n in range(2, 6):
-        for r in (1, 2):
+    for n in range(2, 7):
+        for r in (1, 2, 3):
             assert exact_ball_dist(n, 0, r) == exact_tree_ball_dist(n, r)
 
 
